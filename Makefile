@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet staticcheck bench bench-json test-loss test-fault test-soak bench-reliable bench-pipeline bench-syscall check-bench5 bench-obs check-bench6 test-obs test-multiproc bench-multiproc check-bench7 test-churn test-partition ci
+.PHONY: build test race vet fmt-check staticcheck bench bench-json test-loss test-fault test-soak bench-reliable bench-pipeline bench-syscall check-bench5 bench-obs check-bench6 test-obs test-multiproc bench-multiproc check-bench7 test-churn test-partition ci
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,10 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: fails listing every file gofmt would rewrite.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l flags:"; echo "$$out"; exit 1; fi
 
 # Deep static analysis. Skips gracefully when the tool is not on PATH so
 # offline checkouts can still run `make ci`; CI installs it explicitly.
@@ -149,28 +153,29 @@ test-multiproc:
 
 # Churn suite (DESIGN.md §15): epoch-based peer readmission end to end.
 # The in-process units (incarnation gating, stale-datagram drops,
-# generation-scoped sweeps, the DisableReadmission escape hatch), the
-# boot-layer units (restartable rendezvous, join backoff, RestartRank),
-# then the kill/restart soak: a 4-rank process world under 25% injected
-# loss where one rank is SIGKILLed and relaunched three times — each
-# incarnation must be readmitted by every survivor and the world must
-# finish cleanly. All under the race detector.
+# generation-scoped sweeps, the (state, event) peer-lifecycle table, the
+# forged-join fuzz seeds), the boot-layer units (restartable rendezvous,
+# join backoff, RestartRank), then the kill/restart soak: a 4-rank
+# process world under 25% injected loss where one rank is SIGKILLed and
+# relaunched three times — each incarnation must be readmitted by every
+# survivor and the world must finish cleanly. All under the race
+# detector.
 test-churn:
-	$(GO) test -race -count 1 -run 'TestChurn' ./internal/gasnet/
+	$(GO) test -race -count 1 -run 'TestChurn|TestPeerLifecycleTable|FuzzRecoveryFrames' ./internal/gasnet/
 	$(GO) test -race -count 1 -run 'TestSpecJoinWait|TestRendezvousRejoin|TestJoinBackoffDeadline|TestRestartRank' ./internal/boot/
 	$(GO) test -race -count 1 -run 'TestMultiprocChurn' -timeout 10m .
 
 # Partition suite (DESIGN.md §16): the scenario engine and
 # same-incarnation healing end to end. The in-process units (scenario DSL
 # parsing, mid-run fault arming, latency injection, partition→Down→heal,
-# asymmetric one-way loss, retransmit-backoff re-arm on heal, the
-# DisableHealing kill switch), then the split-brain soak: a 4-rank
-# process world cut 2|2 by GUPCXX_UDP_SCENARIO, held apart long past
-# DownAfter, and healed — every severed pair must return to Alive under
-# the same incarnation with zero readmissions. All under the race
-# detector.
+# asymmetric one-way loss, retransmit-backoff re-arm and exactly-once
+# completion across a heal, the peer-lifecycle table), then the
+# split-brain soak: a 4-rank process world cut 2|2 by
+# GUPCXX_UDP_SCENARIO, held apart long past DownAfter, and healed — every
+# severed pair must return to Alive under the same incarnation with zero
+# readmissions. All under the race detector.
 test-partition:
-	$(GO) test -race -count 1 -run 'TestScenarioParse|TestSetFaultMidRunArming|TestLatencyInjection|TestPartition|TestDisableHealing|TestAsymmetricLoss|TestHealResets' ./internal/gasnet/
+	$(GO) test -race -count 1 -run 'TestScenarioParse|TestSetFaultMidRunArming|TestLatencyInjection|TestPartition|TestPeerLifecycleTable|TestAsymmetricLoss|TestHealResets' ./internal/gasnet/
 	$(GO) test -race -count 1 -run 'TestMultiprocPartition' -timeout 10m .
 
 # Cross-process record: the op-pipeline families on an in-process UDP
@@ -189,4 +194,4 @@ check-bench7:
 	./scripts/check_bench7.sh BENCH_7.json
 
 # Everything CI runs, in CI's order.
-ci: build test race vet staticcheck check-bench5 check-bench6 check-bench7 test-obs test-loss test-fault test-soak test-multiproc test-churn test-partition
+ci: build test race vet fmt-check staticcheck check-bench5 check-bench6 check-bench7 test-obs test-loss test-fault test-soak test-multiproc test-churn test-partition

@@ -201,15 +201,12 @@ type Config struct {
 	SuspectAfter time.Duration
 
 	// DownAfter is how long a peer may stay silent before it is declared
-	// Down (sticky): its pending operations fail with ErrPeerUnreachable
-	// and new operations targeting it fail at injection. Zero selects
-	// 40×HeartbeatEvery.
+	// Down: its pending operations fail with ErrPeerUnreachable and new
+	// operations targeting it fail at injection until it comes back —
+	// healed under the same incarnation once partition probes get
+	// through, or readmitted under a newer one when it restarts. Zero
+	// selects 40×HeartbeatEvery.
 	DownAfter time.Duration
-
-	// DisableLiveness turns the heartbeat/failure-detection machinery off
-	// entirely (retransmission exhaustion then aborts the job, the
-	// pre-liveness behaviour).
-	DisableLiveness bool
 
 	// Multiproc selects the process-per-rank deployment shape on the UDP
 	// conduit: this OS process hosts exactly one rank (Self), every other
@@ -252,18 +249,6 @@ type Config struct {
 	// heartbeat round until the surviving peers readmit it. Ignored
 	// unless Multiproc.
 	Rejoin bool
-
-	// DisableReadmission restores sticky-Down: join frames from restarted
-	// peers are ignored, and a peer once declared down stays down for the
-	// life of this process. Reliable UDP only.
-	DisableReadmission bool
-
-	// DisableHealing restores terminal Down for silence-declared peers: no
-	// partition probes are sent and incoming probes are ignored (no acks
-	// either, so both sides of a partition converge to sticky Down
-	// symmetrically). Readmission of restarted peers is unaffected.
-	// Reliable UDP only.
-	DisableHealing bool
 
 	// Events, when non-nil, receives substrate health events: liveness
 	// transitions (suspect/down/recovered), backpressure onset and relief,

@@ -105,8 +105,8 @@ type Domain struct {
 
 	// udp is the socket transport, present only on the UDP conduit; rel is
 	// its reliability layer, absent under Config.UDPUnreliable; lv is the
-	// peer-failure detector riding rel's ticker, absent under
-	// Config.DisableLiveness.
+	// peer-failure detector riding rel's ticker, present exactly when rel
+	// is.
 	udp *udpTransport
 	rel *reliability
 	lv  *liveness

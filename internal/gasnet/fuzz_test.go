@@ -154,6 +154,15 @@ func FuzzDecodeFrameSeq(f *testing.F) {
 	f.Add([]byte{frameProbe, 0, 0, 1, 0, 0, 0, 0xEE})
 	f.Add([]byte{frameProbe, 0, 0})
 	f.Add([]byte{frameProbe})
+	// Goodbyes: a stale incarnation (dropped and counted), a
+	// self-referential sender (ignored), truncated stubs, then a
+	// well-formed one — after the other frame seeds, since it buries rank
+	// 0 for every input that follows.
+	f.Add([]byte{frameBye, 0, 0, 9, 0, 0, 0})
+	f.Add([]byte{frameBye, 1, 0, 1, 0, 0, 0})
+	f.Add([]byte{frameBye, 0, 0, 1})
+	f.Add([]byte{frameBye})
+	f.Add([]byte{frameBye, 0, 0, 1, 0, 0, 0})
 	f.Add(inner)
 	f.Add([]byte{})
 
@@ -170,6 +179,64 @@ func FuzzDecodeFrameSeq(f *testing.F) {
 		after := d.Stats()
 		if after.DecodeErrors < before.DecodeErrors {
 			t.Fatal("DecodeErrors went backwards")
+		}
+	})
+}
+
+// FuzzRecoveryFrames drives arbitrary datagrams into rank 0 of a two-rank
+// process-per-rank world — the only shape in which join frames reach
+// handleJoin — so forged joins and probes exercise the one way back from
+// Down (liveness.revive). The contract under fuzz: never panic, and the
+// peer's recorded incarnation and death generation only move forward.
+// Rank 0's sends are all dropped, so a forged join that points the
+// address table elsewhere sends nothing anywhere.
+func FuzzRecoveryFrames(f *testing.F) {
+	doms, peers := newChurnWorld(f, 2, nil)
+	d := doms[0]
+	if err := d.SetFault(0, FaultConfig{Drop: 1}); err != nil {
+		f.Fatal(err)
+	}
+	ep0 := d.Endpoint(0)
+
+	join := func(from uint16, inc uint32, addr string) []byte {
+		b := []byte{frameJoin, 0, 0, 0, 0, 0, 0, byte(len(addr))}
+		binary.LittleEndian.PutUint16(b[1:3], from)
+		binary.LittleEndian.PutUint32(b[3:7], inc)
+		return append(b, addr...)
+	}
+	addr := peers[1].String()
+	// Joins: same, older and zero incarnations, forged and self sender
+	// ranks, unparseable and overrunning addresses, a truncated header,
+	// then a newer incarnation (a readmission) and an IPv6 address.
+	f.Add(join(1, churnEpoch, addr))
+	f.Add(join(1, churnEpoch-1, addr))
+	f.Add(join(1, 0, addr))
+	f.Add(join(9, churnEpoch+1, addr))
+	f.Add(join(0, churnEpoch+1, addr))
+	f.Add(join(1, churnEpoch+1, "bad"))
+	f.Add(join(1, churnEpoch+1, addr)[:joinFrameMin+3])
+	f.Add([]byte{frameJoin, 1, 0, churnEpoch + 1})
+	f.Add(join(1, churnEpoch+1, addr))
+	f.Add(join(1, churnEpoch+2, "[::1]:9"))
+	// Probes and goodbyes against whatever the joins left behind.
+	f.Add([]byte{frameProbe, 1, 0, churnEpoch + 2, 0, 0, 0, probeKindProbe})
+	f.Add([]byte{frameProbe, 1, 0, churnEpoch, 0, 0, 0, probeKindAck})
+	f.Add([]byte{frameBye, 1, 0, churnEpoch + 2, 0, 0, 0})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > bufClassLarge {
+			data = data[:bufClassLarge]
+		}
+		inc, gen := d.IncarnationOf(0, 1), ep0.DownGen(1)
+		wb := d.arena.get(bufClassLarge)
+		wb.b = append(wb.b[:0], data...)
+		d.receiveDatagram(ep0, wb)
+		ep0.Poll()
+		if got := d.IncarnationOf(0, 1); got < inc {
+			t.Fatalf("recorded incarnation went backwards: %d -> %d", inc, got)
+		}
+		if got := ep0.DownGen(1); got < gen {
+			t.Fatalf("death generation went backwards: %d -> %d", gen, got)
 		}
 	})
 }

@@ -19,16 +19,17 @@ var ErrPeerUnreachable = errors.New("gasnet: peer unreachable")
 // Per-peer liveness states. Alive is the zero value; Suspect is a peer
 // that has fallen silent past Config.SuspectAfter (recoverable — hearing
 // from it restores Alive); Down is reached through silence past
-// Config.DownAfter or an exhausted retransmission budget. Down is sticky
-// within one incarnation of the peer — ORDINARY late datagrams from a
-// declared-dead process never resurrect it — but there are two ways out:
-// a restarted peer re-registers under a bumped epoch and is readmitted
-// (Down→Alive with fully reset reliability state) when its join frame
-// arrives (see handleJoin), and a silence-declared peer that was merely
-// partitioned heals (Down→Alive under the SAME incarnation, parked
-// reliability state re-armed) when a probe authenticates it (see heal).
+// Config.DownAfter, an exhausted retransmission budget, or a goodbye.
 // While a peer is Down every operation targeting it fails with
-// ErrPeerUnreachable instead of hanging.
+// ErrPeerUnreachable instead of hanging, and ORDINARY traffic from the
+// dead incarnation never resurrects it. There is one way back, revive,
+// entered two ways: a probe under the SAME incarnation heals a
+// silence-declared Down (the peer was only partitioned), and a join frame
+// from a NEWER incarnation readmits a restarted peer. The lifecycle:
+//
+//	Alive ⇄ Suspect → Down{cause} → Alive (incarnation kept or changed)
+//
+// A goodbye or an exhausted retransmission budget can skip Suspect.
 const (
 	peerAlive int32 = iota
 	peerSuspect
@@ -41,7 +42,7 @@ const (
 // paced probe frames at the dead pair, and authentic same-incarnation
 // traffic (a probe or its ack) heals it back to Alive without the
 // incarnation machinery. A Down reached through a goodbye frame — or
-// installed by readmit to bury a superseded incarnation — is the process
+// installed by revive to bury a superseded incarnation — is the process
 // actually leaving (causeBye) and stays terminal until a join frame from
 // a newer incarnation readmits it.
 const (
@@ -125,7 +126,7 @@ type liveness struct {
 	// may have restarted while they were gone). A frame stamped with any
 	// other incarnation is rejected by checkInc before ANY processing: no
 	// heardRound refresh, no ack completion, no delivery. The recorded
-	// incarnation only moves forward through readmit (join frames), never
+	// incarnation only moves forward through revive (join frames), never
 	// through ordinary traffic — a one-sided adopt would desync the
 	// sequenced streams (a reset sender's frames 1..n would be dup-dropped
 	// yet re-acked by a receiver whose cumSeq survived).
@@ -140,13 +141,13 @@ type liveness struct {
 	deaths []atomic.Uint32
 
 	// staleEv[local*ranks+peer] edge-limits EvStaleIncarnation: armed on
-	// the first stale drop of an episode, cleared on readmission.
+	// the first stale drop of an episode, cleared by revive.
 	// Stats.StaleIncarnationDrops counts every drop.
 	staleEv []atomic.Bool
 
 	// downCause[local*ranks+peer] records WHY the pair is Down (causeNet
-	// is healable, causeBye is terminal). Written by the winner of the
-	// markDown state transition, cleared by heal/readmit.
+	// is healable, causeBye is terminal). Set by markDown before the state
+	// flips to Down, cleared by revive after it flips back.
 	downCause []atomic.Int32
 
 	// Probe pacing per dead pair: probeNext is the round at which the next
@@ -155,16 +156,12 @@ type liveness struct {
 	probeGap  []atomic.Int32
 	probeNext []atomic.Int64
 
-	// healOff (Config.DisableHealing) restores terminal Down for
-	// silence-driven deaths: no probes are sent and incoming probes are
-	// ignored (no acks either, so both sides of a partition converge to
-	// sticky Down symmetrically).
-	healOff bool
-
-	// mmu serializes readmit: join frames can arrive on the socket reader
-	// while the ticker is sweeping the same pair, and readmission is a
-	// multi-step transition (down-mark, pair reset, incarnation adopt)
-	// that must not interleave with itself.
+	// mmu serializes every transition into and out of Down (markDown,
+	// revive): probes, goodbyes and joins arrive on the socket reader
+	// while the ticker is sweeping the same pair, and both directions are
+	// multi-step (count the death, park or release the pair; bury a
+	// superseded incarnation, re-arm the pair, adopt the incarnation)
+	// that must not interleave.
 	mmu sync.Mutex
 
 	// rejoin marks this domain as a restarted rank (Config.Rejoin): the
@@ -172,10 +169,6 @@ type liveness struct {
 	// round until every live peer has acked new-incarnation traffic.
 	// Ticker-goroutine-local after construction.
 	rejoin bool
-
-	// readmitOff (Config.DisableReadmission) restores sticky-Down: join
-	// frames are ignored and a dead peer stays dead.
-	readmitOff bool
 
 	// joinFrame is the prebuilt announcement ([frameJoin][rank u16]
 	// [incarnation u32][addr len u8][addr]); built once at construction
@@ -203,8 +196,6 @@ func newLiveness(d *Domain, now int64) *liveness {
 		downCause:     make([]atomic.Int32, d.cfg.Ranks*d.cfg.Ranks),
 		probeGap:      make([]atomic.Int32, d.cfg.Ranks*d.cfg.Ranks),
 		probeNext:     make([]atomic.Int64, d.cfg.Ranks*d.cfg.Ranks),
-		readmitOff:    d.cfg.DisableReadmission,
-		healOff:       d.cfg.DisableHealing,
 	}
 	if lv.downRounds <= lv.suspectRounds {
 		lv.downRounds = lv.suspectRounds + 1
@@ -250,9 +241,9 @@ func roundsFor(silence, hbEvery int64) int64 {
 func (lv *liveness) idx(local, peer int) int { return local*lv.ranks + peer }
 
 // heard records that local received traffic from peer, stamping the
-// detector's current round. A Suspect peer recovers to Alive; Down is
-// sticky — a late datagram from a declared-dead peer must not resurrect
-// it after its operations were failed.
+// detector's current round. A Suspect peer recovers to Alive; a Down peer
+// stays Down — ordinary traffic never resurrects it after its operations
+// were failed (only revive does, behind a probe or a join).
 func (lv *liveness) heard(local, peer int) {
 	if peer < 0 || peer >= lv.ranks || peer == local {
 		return
@@ -303,7 +294,7 @@ func (lv *liveness) deathsOf(local, peer int) uint32 {
 // state would corrupt the sequenced streams. Rejected frames are counted
 // (Stats.StaleIncarnationDrops) and edge-reported (EvStaleIncarnation).
 // Adopting never resets pair state and never resurrects a Down peer:
-// readmission is handleJoin's job, where both sides reset coherently.
+// that is revive's job, where both sides re-arm coherently.
 func (lv *liveness) checkInc(local, peer int, inc uint32) bool {
 	if peer < 0 || peer >= lv.ranks {
 		return false
@@ -343,8 +334,8 @@ func (lv *liveness) checkInc(local, peer int, inc uint32) bool {
 }
 
 // noteStale counts one incarnation-mismatch drop and emits
-// EvStaleIncarnation on the first drop of an episode (the flag clears on
-// readmission). A holds the stamp on the frame, B the recorded one.
+// EvStaleIncarnation on the first drop of an episode (the flag clears in
+// revive). A holds the stamp on the frame, B the recorded one.
 func (lv *liveness) noteStale(local, peer int, inc, rec uint32) {
 	lv.d.staleIncarnationDrops.Add(1)
 	if lv.staleEv[lv.idx(local, peer)].CompareAndSwap(false, true) {
@@ -367,46 +358,42 @@ func (lv *liveness) markSuspect(local, peer int) {
 	}
 }
 
-// markDown transitions local's view of peer to Down (idempotent within
-// one incarnation — readmission resets the state and a later death counts
-// again) and bumps local's epoch so the rank goroutine sweeps its op
-// table at the next Poll. The deaths stamp rises before the epoch so a
-// sweep triggered by the epoch change always observes the new
-// generation. Callable from any goroutine.
+// markDown transitions local's view of peer to Down (idempotent while
+// Down — revive resets the state and a later death counts again) and
+// bumps local's epoch so the rank goroutine sweeps its op table at the
+// next Poll. Callable from any goroutine; serialized with revive by mmu.
+func (lv *liveness) markDown(local, peer int, cause int32) {
+	lv.mmu.Lock()
+	defer lv.mmu.Unlock()
+	lv.bury(local, peer, cause)
+}
+
+// bury is markDown with lv.mmu held (revive buries a superseded
+// incarnation under it). The death is counted and its cause recorded
+// BEFORE Down becomes visible, so whoever observes Down also observes
+// its generation and whether it is healable; the epoch rises after, so a
+// sweep triggered by the epoch change finds the peer already Down and
+// new operations toward it refused at injection.
 //
 // The cause decides what happens to the reliability pair. A terminal
-// death (causeBye, or healing disabled) releases it — in-flight buffers
-// return to the pool, the stream is gone. A healable death (causeNet)
-// PARKS it instead: in-flight frames keep their sequence numbers and
-// wait out the partition, because releasing them would leave permanent
-// gaps the receiver's cumulative stream could never close after a heal.
-// Only the winner of the state transition writes the cause, so a racing
-// probe can momentarily read causeNone and skip a heal — the next probe
-// repairs that.
-func (lv *liveness) markDown(local, peer int, cause int32) {
+// death (causeBye) releases it — in-flight buffers return to the pool,
+// the stream is gone. A healable death (causeNet) PARKS it instead:
+// in-flight frames keep their sequence numbers and wait out the
+// partition, because releasing them would leave permanent gaps the
+// receiver's cumulative stream could never close after a heal.
+func (lv *liveness) bury(local, peer int, cause int32) {
 	i := lv.idx(local, peer)
-	for {
-		s := lv.state[i].Load()
-		if s == peerDown {
-			return
-		}
-		if lv.state[i].CompareAndSwap(s, peerDown) {
-			break
-		}
+	if lv.state[i].Load() == peerDown {
+		return
 	}
+	lv.deaths[i].Add(1)
+	lv.downCause[i].Store(cause)
+	lv.state[i].Store(peerDown) // only mmu holders leave or enter Down
+	lv.epoch[local].Add(1)
 	lv.d.peersDown.Add(1)
 	lv.d.emit(obs.EvPeerDown, local, peer, 0, 0)
-	lv.deaths[i].Add(1)
-	lv.epoch[local].Add(1)
-	lv.downCause[i].Store(cause)
-	healable := cause == causeNet && !lv.healOff
-	if r := lv.d.rel; r != nil {
-		if healable {
-			r.parkPair(local, peer)
-		} else {
-			r.releasePair(local, peer)
-		}
-	}
+	healable := cause == causeNet
+	lv.d.rel.downPair(local, peer, !healable)
 	if healable {
 		lv.probeGap[i].Store(1)
 		lv.probeNext[i].Store(lv.round.Load() + 1)
@@ -414,36 +401,6 @@ func (lv *liveness) markDown(local, peer int, cause int32) {
 	}
 	// Wake the rank so a parked waiter re-polls and observes the epoch
 	// change promptly instead of waiting out parkTimeout.
-	lv.d.eps[local].notify()
-}
-
-// heal returns a silence-declared-Down peer to Alive under the SAME
-// incarnation — the partition-recovery path, distinct from readmission
-// (no incarnation change, no address rewrite, no pair reset). Called from
-// the socket reader when authentic same-incarnation traffic (a probe or
-// its ack) arrives for a pair that is Down with causeNet. The parked
-// reliability pair is re-armed (backoff reset, immediate retransmit)
-// BEFORE Alive becomes visible, so a sender observing Alive never races a
-// still-parked stream. deaths/epoch are left alone: the death already
-// happened and was swept; ops issued after the heal carry the bumped
-// generation stamp and survive any sweep for the old death (domain.go).
-func (lv *liveness) heal(local, peer int) {
-	lv.mmu.Lock()
-	defer lv.mmu.Unlock()
-	i := lv.idx(local, peer)
-	if lv.state[i].Load() != peerDown || lv.downCause[i].Load() != causeNet {
-		return
-	}
-	if r := lv.d.rel; r != nil {
-		r.healPair(local, peer)
-	}
-	lv.downCause[i].Store(causeNone)
-	lv.heardRound[i].Store(lv.round.Load())
-	lv.staleEv[i].Store(false)
-	lv.state[i].Store(peerAlive)
-	lv.d.peersHealed.Add(1)
-	lv.d.emit(obs.EvPeerHealed, local, peer, int64(lv.peerInc[i].Load()), 0)
-	// Wake the rank: ops refused while the peer was Down can flow again.
 	lv.d.eps[local].notify()
 }
 
@@ -456,7 +413,7 @@ func (lv *liveness) heal(local, peer int) {
 // of life; that is the asymmetric case — B downed A, A still sees B — in
 // which A's acks let B heal and the views reconverge.
 func (lv *liveness) handleProbe(local, peer int, inc uint32, kind byte) {
-	if lv.healOff || peer < 0 || peer >= lv.ranks || peer == local || inc == 0 {
+	if peer < 0 || peer >= lv.ranks || peer == local || inc == 0 {
 		return
 	}
 	i := lv.idx(local, peer)
@@ -471,7 +428,7 @@ func (lv *liveness) handleProbe(local, peer int, inc uint32, kind byte) {
 		if lv.downCause[i].Load() != causeNet {
 			return // said goodbye or was superseded: stays dead
 		}
-		lv.heal(local, peer)
+		lv.revive(local, peer, inc, netip.AddrPort{})
 	} else {
 		lv.heard(local, peer)
 	}
@@ -526,9 +483,7 @@ func (lv *liveness) tick(now int64) {
 			}
 		}
 	}
-	if !lv.healOff {
-		lv.sendProbes(round)
-	}
+	lv.sendProbes(round)
 }
 
 // hbFrameLen is the heartbeat frame:
@@ -624,14 +579,12 @@ func (lv *liveness) sendJoins() {
 		if to == self || lv.down(self, to) {
 			continue
 		}
-		if r := lv.d.rel; r != nil {
-			p := r.pair(self, to)
-			p.mu.Lock()
-			acked := p.sendAcked
-			p.mu.Unlock()
-			if acked > 0 {
-				continue // the peer acked new-incarnation traffic: readmitted
-			}
+		p := lv.d.rel.pair(self, to)
+		p.mu.Lock()
+		acked := p.sendAcked
+		p.mu.Unlock()
+		if acked > 0 {
+			continue // the peer acked new-incarnation traffic: readmitted
 		}
 		pending = true
 		lv.d.joinsSent.Add(1)
@@ -647,9 +600,9 @@ func (lv *liveness) sendJoins() {
 // current incarnation is proof of life (announcement is retried until
 // acked); a stamp older than the recorded incarnation is the dead
 // process's last frames draining out; anything newer — or a first
-// contact — goes through readmit.
+// contact — goes through revive.
 func (lv *liveness) handleJoin(local, peer int, inc uint32, addr netip.AddrPort) {
-	if lv.readmitOff || peer < 0 || peer >= lv.ranks || peer == local || inc == 0 {
+	if peer < 0 || peer >= lv.ranks || peer == local || inc == 0 {
 		return
 	}
 	rec := lv.peerInc[lv.idx(local, peer)].Load()
@@ -659,52 +612,76 @@ func (lv *liveness) handleJoin(local, peer int, inc uint32, addr netip.AddrPort)
 	case rec != 0 && inc < rec:
 		lv.noteStale(local, peer, inc, rec)
 	default:
-		lv.readmit(local, peer, inc, addr)
+		lv.revive(local, peer, inc, addr)
 	}
 }
 
-// readmit installs a new incarnation of peer: the multi-step
-// Down→Readmitted transition at the core of elastic membership. If the
-// old incarnation was never declared dead (a fast restart, quicker than
-// DownAfter), it is declared dead NOW — every op in flight against it
-// must fail with ErrPeerUnreachable, never silently retarget the new
-// process. Then the pair's reliability state resets on our side (the
-// joiner's is fresh by construction — this symmetry is what keeps the
-// sequenced streams coherent), the address table learns the new socket,
-// and the peer returns to Alive under its new identity. Ordering within:
-// the pair must be fully reset before Alive becomes visible, so a sender
-// that observes Alive never races a half-buried stream.
-func (lv *liveness) readmit(local, peer int, inc uint32, addr netip.AddrPort) {
+// revive is the one way back from Down, parameterized by whether the
+// incarnation changed. inc is the incarnation the authenticating frame
+// carried:
+//
+//   - The recorded one (a probe or probe-ack): the peer was partitioned,
+//     not restarted. Only a Down{causeNet} pair heals; its parked
+//     reliability stream is re-armed with sequence numbers kept.
+//     Counted in PeersHealed, reported as EvPeerHealed.
+//   - A newer one, or a first contact (a join): the peer restarted. A
+//     still-live old incarnation (a restart quicker than DownAfter) is
+//     buried first with causeBye — every op in flight against it must
+//     fail with ErrPeerUnreachable, never silently retarget the new
+//     process. Then the address table learns the new socket and the
+//     pair resets to a clean slate on our side (the joiner's is fresh by
+//     construction — this symmetry keeps the sequenced streams coherent).
+//     Counted in PeersReadmitted, reported as EvPeerReadmitted. A first
+//     contact with a peer never declared Down just adopts inc silently.
+//
+// The pair is re-armed BEFORE Alive becomes visible, so a sender that
+// observes Alive never races a parked or half-buried stream. deaths and
+// epoch are left alone: the death already happened and was swept; ops
+// issued afterwards carry the bumped generation stamp and survive any
+// sweep for the old death (domain.go).
+func (lv *liveness) revive(local, peer int, inc uint32, addr netip.AddrPort) {
 	lv.mmu.Lock()
 	defer lv.mmu.Unlock()
 	i := lv.idx(local, peer)
 	rec := lv.peerInc[i].Load()
-	if rec == inc || (rec != 0 && inc < rec) {
-		return // another reader resolved this join while we waited
-	}
-	hadOld := rec != 0
 	wasDown := lv.state[i].Load() == peerDown
-	if hadOld && !wasDown {
-		// Superseded, not partitioned: bury terminally (no probes, pair
-		// released) — the new incarnation gets a fresh stream below.
-		lv.markDown(local, peer, causeBye)
-		wasDown = true
+	fresh := inc != rec
+	switch {
+	case !fresh:
+		if !wasDown || lv.downCause[i].Load() != causeNet {
+			return // already healed by a racing probe, or terminally Down
+		}
+	case rec != 0 && inc < rec:
+		return // another reader resolved a newer join while we waited
+	default:
+		if rec != 0 && !wasDown {
+			// Superseded, not partitioned: bury terminally (no probes,
+			// pair released) — the new incarnation gets a fresh stream.
+			lv.bury(local, peer, causeBye)
+			wasDown = true
+		}
+		if lv.d.udp != nil && addr.IsValid() {
+			lv.d.udp.setAddr(peer, addr)
+		}
 	}
-	if lv.d.udp != nil && addr.IsValid() {
-		lv.d.udp.setAddr(peer, addr)
-	}
-	if r := lv.d.rel; r != nil && (hadOld || wasDown) {
-		r.resetPair(local, peer)
+	if wasDown {
+		lv.d.rel.rearmPair(local, peer, fresh)
 	}
 	lv.peerInc[i].Store(inc)
 	lv.heardRound[i].Store(lv.round.Load())
 	lv.staleEv[i].Store(false)
-	lv.downCause[i].Store(causeNone)
 	lv.state[i].Store(peerAlive)
-	if hadOld || wasDown {
+	lv.downCause[i].Store(causeNone) // after: a Down pair always has its cause
+	if !wasDown {
+		return
+	}
+	if fresh {
 		lv.d.peersReadmitted.Add(1)
 		lv.d.emit(obs.EvPeerReadmitted, local, peer, int64(inc), int64(rec))
-		// Wake the rank: ops refused while the peer was Down can flow again.
-		lv.d.eps[local].notify()
+	} else {
+		lv.d.peersHealed.Add(1)
+		lv.d.emit(obs.EvPeerHealed, local, peer, int64(inc), 0)
 	}
+	// Wake the rank: ops refused while the peer was Down can flow again.
+	lv.d.eps[local].notify()
 }

@@ -124,7 +124,7 @@ func TestHeartbeatSilenceMarksPeerDown(t *testing.T) {
 	if s.PeersSuspected == 0 {
 		t.Error("PeersSuspected = 0: Down must pass through Suspect")
 	}
-	// Down is sticky and one-sided: rank 1 still hears rank 0.
+	// Down is one-sided: rank 1 still hears rank 0.
 	if d.Endpoint(1).PeerDown(0) {
 		t.Error("rank 1 declared rank 0 down, but rank 0's sends still flow")
 	}
@@ -140,11 +140,8 @@ func TestLivenessConfigValidation(t *testing.T) {
 	if _, err := NewDomain(Config{Ranks: 2, Conduit: UDP, RelMaxAttempts: -1}); err == nil {
 		t.Error("negative RelMaxAttempts accepted")
 	}
-	d := newTestDomain(t, Config{Ranks: 2, Conduit: UDP, DisableLiveness: true})
+	d := newTestDomain(t, Config{Ranks: 2, Conduit: UDP})
 	defer d.Close()
-	if d.Endpoint(0).PeerDown(1) || d.Endpoint(0).AnyPeerDown() {
-		t.Error("liveness state exists despite DisableLiveness")
-	}
 	// The fault shim is always interposed: arming faults mid-run needs no
 	// construction-time Config.Fault.
 	if err := d.SetFault(0, FaultConfig{Drop: 0.5}); err != nil {

@@ -64,12 +64,7 @@ func (d *Domain) initUDPMultiproc() error {
 		return err
 	}
 	if !d.cfg.UDPUnreliable {
-		// Detector before ticker, as on the in-process path: newReliability
-		// captures d.lv, and the very first sweep may already need it.
-		if !d.cfg.DisableLiveness {
-			d.lv = newLiveness(d, clockRefresh())
-		}
-		d.rel = newReliability(d)
+		startReliability(d)
 	}
 	d.startReader(tr, d.eps[self], bc)
 	return nil

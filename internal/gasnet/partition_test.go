@@ -2,6 +2,7 @@ package gasnet
 
 import (
 	"errors"
+	"net/netip"
 	"testing"
 	"time"
 )
@@ -47,20 +48,20 @@ func TestScenarioParse(t *testing.T) {
 	bad := []string{
 		"",
 		"   ;  ",
-		"heal",                        // missing at=
-		"at=2s heal; at=1s heal",      // decreasing times
-		"at=-1s heal",                 // negative time
-		"at=1s",                       // no directives
-		"at=1s frobnicate",            // unknown directive
-		"at=1s partition=",            // no groups
-		"at=1s partition=0|9",         // rank out of range
-		"at=1s partition=0|x",         // non-numeric rank
-		"at=1s fault=drop=2",          // invalid probability
-		"at=1s fault@0>9=drop=1",      // bad destination
-		"at=1s fault@01=drop=1",       // missing '>'
-		"at=1s latency=-5ms",          // negative duration
-		"at=1s jitter=fast",           // unparseable duration
-		"at=bogus heal",               // unparseable time
+		"heal",                   // missing at=
+		"at=2s heal; at=1s heal", // decreasing times
+		"at=-1s heal",            // negative time
+		"at=1s",                  // no directives
+		"at=1s frobnicate",       // unknown directive
+		"at=1s partition=",       // no groups
+		"at=1s partition=0|9",    // rank out of range
+		"at=1s partition=0|x",    // non-numeric rank
+		"at=1s fault=drop=2",     // invalid probability
+		"at=1s fault@0>9=drop=1", // bad destination
+		"at=1s fault@01=drop=1",  // missing '>'
+		"at=1s latency=-5ms",     // negative duration
+		"at=1s jitter=fast",      // unparseable duration
+		"at=bogus heal",          // unparseable time
 	}
 	for _, spec := range bad {
 		if _, err := parseScenario(spec, 4); err == nil {
@@ -271,43 +272,6 @@ func TestPartitionHealViaScenario(t *testing.T) {
 	}
 }
 
-// TestDisableHealingTerminalDown: the kill switch restores the old
-// contract — silence-driven Down is terminal, no probes ship, and a
-// healed network changes nothing.
-func TestDisableHealingTerminalDown(t *testing.T) {
-	clearNetEnv(t)
-	cfg := fastHBConfig()
-	cfg.DisableHealing = true
-	d := newTestDomain(t, cfg)
-	defer d.Close()
-	ep0, ep1 := d.Endpoint(0), d.Endpoint(1)
-
-	if err := d.SetPartition([][]int{{0}, {1}}); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for !(ep0.PeerDown(1) && ep1.PeerDown(0)) && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if !ep0.PeerDown(1) || !ep1.PeerDown(0) {
-		t.Fatal("partitioned peers never declared down")
-	}
-	if err := d.HealPartition(); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(200 * time.Millisecond) // many DownAfter periods on a healed wire
-	if !ep0.PeerDown(1) || !ep1.PeerDown(0) {
-		t.Error("peer healed despite DisableHealing")
-	}
-	s := d.Stats()
-	if s.PeersHealed != 0 {
-		t.Errorf("PeersHealed = %d with DisableHealing, want 0", s.PeersHealed)
-	}
-	if s.ProbesSent != 0 {
-		t.Errorf("ProbesSent = %d with DisableHealing, want 0", s.ProbesSent)
-	}
-}
-
 // TestAsymmetricLossHealsTogether: one-way loss (every 0→1 datagram cut,
 // 1→0 clean) downs BOTH directions — rank 1 by silence, rank 0 by
 // retransmission exhaustion — and clearing the pair override lets both
@@ -394,6 +358,9 @@ func TestAsymmetricLossHealsTogether(t *testing.T) {
 // carry fully backed-off RTOs (clamped at relRTOMax); heal must re-arm
 // them — attempts zeroed, RTO reseeded from the estimator, deadline now —
 // so the first post-heal exchange costs O(srtt), not O(100ms backoff).
+// The failed put still resolves exactly once: when the healed wire
+// delivers the parked frame, its late reply finds no cookie and is
+// counted as a BadCookieDrop instead of completing the op again.
 func TestHealResetsRetransmitBackoff(t *testing.T) {
 	clearNetEnv(t)
 	d := newTestDomain(t, Config{
@@ -403,13 +370,17 @@ func TestHealResetsRetransmitBackoff(t *testing.T) {
 		DownAfter:      300 * time.Millisecond, // long enough for RTO to clamp
 	})
 	defer d.Close()
-	ep0 := d.Endpoint(0)
+	ep0, ep1 := d.Endpoint(0), d.Endpoint(1)
 
 	if err := d.SetPartition([][]int{{0}, {1}}); err != nil {
 		t.Fatal(err)
 	}
 	var gotErr error
-	ep0.PutRemote(1, 0, []byte{1, 2, 3, 4}, nil, func(err error) { gotErr = err })
+	calls := 0
+	ep0.PutRemote(1, 0, []byte{1, 2, 3, 4}, nil, func(err error) {
+		gotErr = err
+		calls++
+	})
 	deadline := time.Now().Add(20 * time.Second)
 	for gotErr == nil && time.Now().Before(deadline) {
 		ep0.Poll()
@@ -446,7 +417,7 @@ func TestHealResetsRetransmitBackoff(t *testing.T) {
 	// observed before acks drain them. At most one ticker sweep can slip
 	// in between heal and the lock below (one doubling from the reseeded
 	// base), which is still far below the clamp.
-	d.lv.heal(0, 1)
+	d.lv.revive(0, 1, d.lv.incOf(0, 1), netip.AddrPort{})
 	p.mu.Lock()
 	if p.down {
 		t.Error("pair still parked after heal")
@@ -467,8 +438,23 @@ func TestHealResetsRetransmitBackoff(t *testing.T) {
 	if got := d.Stats().PeersHealed; got != 1 {
 		t.Errorf("PeersHealed = %d after one heal, want 1", got)
 	}
-	// Lift the cut so Close drains a live wire.
+
+	// Lift the cut: rank 1 heals its own view of rank 0, takes the parked
+	// put, and replies to a cookie the down sweep already retired.
+	bad := d.Stats().BadCookieDrops
 	if err := d.HealPartition(); err != nil {
 		t.Fatal(err)
+	}
+	deadline = time.Now().Add(10 * time.Second)
+	for d.Stats().BadCookieDrops == bad && time.Now().Before(deadline) {
+		ep0.Poll()
+		ep1.Poll()
+		time.Sleep(time.Millisecond)
+	}
+	if got := d.Stats().BadCookieDrops; got != bad+1 {
+		t.Errorf("BadCookieDrops = %d after the late reply, want %d", got, bad+1)
+	}
+	if calls != 1 || !errors.Is(gotErr, ErrPeerUnreachable) {
+		t.Errorf("put callback ran %d times, last with %v; want exactly once with ErrPeerUnreachable", calls, gotErr)
 	}
 }

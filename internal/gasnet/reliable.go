@@ -58,9 +58,8 @@ import (
 // Exhausting the retransmission budget
 // (Config.RelMaxAttempts, default relMaxAttempts) declares the
 // destination down via the liveness detector (liveness.go): its queue is
-// released, its pending operations fail with ErrPeerUnreachable, and the
-// job keeps running. Under Config.DisableLiveness the budget instead
-// aborts the job, as GASNet's UDP conduit does on requester timeout.
+// parked until the peer heals, its pending operations fail with
+// ErrPeerUnreachable, and the job keeps running.
 //
 // Receiver side, per pair: the next-expected frame is delivered
 // immediately and drains any buffered successors; frames at or below the
@@ -120,9 +119,9 @@ const (
 	// credit before giving up with ErrBackpressure.
 	relBPWait = 2 * time.Second
 
-	// relMaxAttempts retransmissions without an ack abort the job: the
-	// peer is dead or the network is partitioned, and blocking forever
-	// would hide it.
+	// relMaxAttempts retransmissions without an ack declare the peer Down:
+	// it is dead or the network is partitioned, and retrying forever would
+	// hide it.
 	relMaxAttempts = 64
 
 	// relAckDelay is how long a receiver sits on a pending ack hoping to
@@ -173,7 +172,7 @@ type relPair struct {
 
 	// Congestion state for the send stream (Jacobson/Karels estimator +
 	// AIMD window, see the package comment). srtt == 0 means no sample
-	// yet; rto and cwnd are seeded by newReliability.
+	// yet; rto and cwnd are seeded by startReliability.
 	srtt       int64  // smoothed RTT, ns
 	rttvar     int64  // RTT mean deviation, ns
 	rto        int64  // current estimator RTO, ns (seeds new entries)
@@ -236,8 +235,7 @@ type reliability struct {
 	bpFailFast    bool
 	bpWait        time.Duration
 
-	// lv is the liveness detector driven by this layer's ticker; nil when
-	// Config.DisableLiveness is set, restoring abort-on-exhaustion.
+	// lv is the liveness detector driven by this layer's ticker.
 	lv *liveness
 
 	closed   atomic.Bool
@@ -246,7 +244,12 @@ type reliability struct {
 	done     chan struct{}
 }
 
-func newReliability(d *Domain) *reliability {
+// startReliability builds the reliability layer and the liveness detector
+// its ticker drives, publishes both on d (d.rel, d.lv), and only then
+// starts the ticker: the detector reaches the pair grid through d.rel, so
+// the very first tick must already find it.
+func startReliability(d *Domain) {
+	d.lv = newLiveness(d, clockRefresh())
 	r := &reliability{
 		d:           d,
 		ranks:       d.cfg.Ranks,
@@ -254,7 +257,7 @@ func newReliability(d *Domain) *reliability {
 		pairs:       make([]relPair, d.cfg.Ranks*d.cfg.Ranks),
 		window:      d.cfg.RelWindow,
 		maxAttempts: d.cfg.RelMaxAttempts,
-		lv:          d.lv, // constructed first (initUDP); nil if disabled
+		lv:          d.lv,
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
 	}
@@ -293,8 +296,8 @@ func newReliability(d *Domain) *reliability {
 		p.rto = relRTO
 		p.ackDelay = relAckDelay
 	}
+	d.rel = r
 	go r.run()
-	return r
 }
 
 func (r *reliability) pair(local, peer int) *relPair {
@@ -455,19 +458,17 @@ func (r *reliability) receive(ep *Endpoint, wb *wireBuf) {
 		wb.release()
 		return
 	}
-	if r.lv != nil {
-		// Incarnation gate before ANY processing: a frame from a dead
-		// incarnation of the sender must not refresh liveness, complete
-		// acks, or deliver — its process is gone and its streams were
-		// reset (or will be, on readmission).
-		if !r.lv.checkInc(ep.rank, int(from), inc) {
-			wb.release()
-			return
-		}
-		// Any sequenced traffic is proof of life; heartbeats only carry
-		// the idle case.
-		r.lv.heard(ep.rank, int(from))
+	// Incarnation gate before ANY processing: a frame from a dead
+	// incarnation of the sender must not refresh liveness, complete acks,
+	// or deliver — its process is gone and its streams were reset (or
+	// will be, on readmission).
+	if !r.lv.checkInc(ep.rank, int(from), inc) {
+		wb.release()
+		return
 	}
+	// Any sequenced traffic is proof of life; heartbeats only carry the
+	// idle case.
+	r.lv.heard(ep.rank, int(from))
 	p := r.pair(ep.rank, int(from))
 	var ackNow bool
 	var ackVal uint32
@@ -684,9 +685,7 @@ func (r *reliability) run() {
 		case <-t.C:
 			now := clockRefresh()
 			r.sweep(now)
-			if r.lv != nil {
-				r.lv.tick(now)
-			}
+			r.lv.tick(now)
 			// Network-model housekeeping: scenario phases and delayed
 			// (latency-injected) datagrams run off the same tick.
 			r.d.faultTick(now)
@@ -712,7 +711,7 @@ func (r *reliability) sweep(now int64) {
 			p.mu.Lock()
 			if p.down {
 				// Down pair. Parked (healable) queues must not retransmit
-				// into the partition — healPair re-arms them; released
+				// into the partition — rearmPair re-arms them; released
 				// queues are empty anyway.
 				p.mu.Unlock()
 				continue
@@ -730,12 +729,6 @@ func (r *reliability) sweep(now int64) {
 				expired = true
 				e.attempts++
 				if e.attempts > r.maxAttempts {
-					if r.lv == nil {
-						p.mu.Unlock()
-						panic(fmt.Sprintf(
-							"gasnet: reliable UDP: rank %d got no ack from rank %d for seq %d after %d retransmits (peer dead or network partitioned)",
-							from, to, e.seq, r.maxAttempts))
-					}
 					// Budget spent: the peer is dead or partitioned.
 					// Declare it down instead of aborting — pending
 					// operations fail with ErrPeerUnreachable through the
@@ -783,7 +776,7 @@ func (r *reliability) sweep(now int64) {
 				r.lv.markDown(from, to, causeNet) // parks or drains the queue
 				continue
 			}
-			if shedBurst && r.lv != nil {
+			if shedBurst {
 				// The receive half of pair (from, to) is the to→from
 				// stream: rank `from` is being flooded by rank `to`
 				// faster than it can deliver. That is a health signal
@@ -803,86 +796,96 @@ func (r *reliability) sweep(now int64) {
 	}
 }
 
-// releasePair marks the from→to send stream down and releases its
-// retransmission queue: the peer will never ack, so retaining the buffers
-// (and the window slots) would stall senders and leak arena capacity.
-func (r *reliability) releasePair(from, to int) {
+// downPair marks the from→to send stream down — the reliability half of
+// markDown (liveness.go). While down, trySeal drops new sends (no new seqs
+// are assigned — no new gaps), the sweep skips the pair (nothing
+// retransmits into a partition), and window-blocked senders drain out.
+//
+// release picks what happens to the buffers. A terminal death releases
+// them: the peer will never ack, so retaining them (and the window slots)
+// would stall senders and leak arena capacity. A healable death PARKS
+// them instead: the in-flight entries keep their sequence numbers and
+// buffers, because the receiver's cumulative stream still expects those
+// seqs and releasing them would leave gaps no retransmission could ever
+// close after a heal. If a parked peer turns out to be truly gone, a
+// later readmission or Close's drainState returns the buffers.
+func (r *reliability) downPair(from, to int, release bool) {
 	p := r.pair(from, to)
 	p.mu.Lock()
 	p.down = true
-	for i := range p.inflight {
-		p.inflight[i].wb.release()
-		p.inflight[i] = relEntry{}
+	if release {
+		p.releaseBufs()
 	}
-	p.inflight = p.inflight[:0]
 	p.mu.Unlock()
 }
 
-// parkPair marks the from→to send stream down WITHOUT releasing its
-// retransmission queue — the healable-death half of markDown
-// (liveness.go). The in-flight entries keep their sequence numbers and
-// buffers: they were assigned seqs the receiver's cumulative stream still
-// expects, so releasing them would leave gaps no retransmission could
-// ever close after a heal. While parked, trySeal drops new sends (no new
-// seqs are assigned — no new gaps), the sweep skips the pair (nothing
-// retransmits into the partition), and window-blocked senders drain out
-// exactly as with releasePair. If the peer turns out to be truly gone,
-// Close's drainState returns the parked buffers to the arena.
-func (r *reliability) parkPair(from, to int) {
-	p := r.pair(from, to)
-	p.mu.Lock()
-	p.down = true
-	p.mu.Unlock()
-}
-
-// healPair re-arms a parked pair — the reliability half of liveness.heal,
-// called under its mmu with the pair still marked down. Every parked
-// entry is reset to a fresh first attempt (backoff cleared, RTO from the
+// rearmPair returns a down from↔to pair to service — the reliability half
+// of liveness.revive, called under its mmu with the pair still marked
+// down.
+//
+// fresh (a readmitted peer under a new incarnation) resets both halves to
+// the just-constructed state: the send stream (sequence counter,
+// retransmission queue, RTT/RTO estimator, AIMD window) and the receive
+// stream (cumulative sequence, reorder buffer, ack pacing). The restarted
+// peer starts its streams from scratch, so any surviving state on our
+// side — a cumSeq the new incarnation never sent, an estimator tuned to
+// the dead process — would silently dup-drop or misclock the fresh
+// streams.
+//
+// Otherwise (a healed peer under the same incarnation) every parked entry
+// is reset to a fresh first attempt (backoff cleared, RTO from the
 // estimator, deadline now) so the next ticker sweep retransmits it
 // immediately: the first post-heal exchange costs O(srtt), not the
 // clamped RTO the entries had backed off to when the partition hit.
 // recoverSeq moves past everything parked so those forced expiries are
 // not misread as fresh congestion, and the window restarts from the AIMD
 // floor — the path just proved it can vanish; probe conservatively.
-// Estimator state (srtt/rttvar/rto) survives: the pre-partition path is
-// the best guess for the post-heal one. The receive half needs nothing:
-// cumSeq/reorder kept parity with everything actually delivered.
-//
-// Note the delivered-late consequence: parked frames whose operations
-// were already failed by the down sweep still retransmit and execute at
-// the receiver after the heal. That is the same at-most-once-per-seq,
-// maybe-after-failure semantics a deadline expiry already has — the
-// completion cookie died with the op, so the late ack is a counted
-// badCookieDrop, not a double completion.
-func (r *reliability) healPair(from, to int) {
+// Estimator state survives: the pre-partition path is the best guess for
+// the post-heal one. The receive half needs nothing: cumSeq/reorder kept
+// parity with everything actually delivered. Parked frames whose
+// operations were already failed by the down sweep still retransmit and
+// execute at the receiver after the heal — the same at-most-once-per-seq,
+// maybe-after-failure semantics a deadline expiry has. The completion
+// cookie died with the op, so the late reply is a counted badCookieDrop,
+// not a second completion.
+func (r *reliability) rearmPair(from, to int, fresh bool) {
 	p := r.pair(from, to)
 	p.mu.Lock()
-	now := clockNow()
-	for i := range p.inflight {
-		e := &p.inflight[i]
-		e.attempts = 0
-		e.rto = p.rto
-		e.deadline = now
+	if fresh {
+		p.releaseBufs()
+		p.nextSeq = 0
+		p.srtt = 0
+		p.rttvar = 0
+		p.rto = relRTO
+		p.cwnd = r.window
+		p.sendAcked = 0
+		p.recoverSeq = 0
+		p.cumSeq = 0
+		p.lastAck = 0
+		p.shedRecent = 0
+		p.ackPending = false
+		p.ackSince = 0
+		p.ackDelay = relAckDelay
+		p.ackHint.Store(false)
+	} else {
+		now := clockNow()
+		for i := range p.inflight {
+			e := &p.inflight[i]
+			e.attempts = 0
+			e.rto = p.rto
+			e.deadline = now
+		}
+		p.cwnd = r.windowMin
+		p.recoverSeq = p.nextSeq
 	}
-	p.cwnd = r.windowMin
-	p.recoverSeq = p.nextSeq
 	p.down = false
 	p.bpBlocked = false
 	p.mu.Unlock()
 }
 
-// resetPair returns the from↔to pair to its just-constructed state — both
-// halves: the send stream (sequence counter, retransmission queue,
-// RTT/RTO estimator, AIMD window) and the receive stream (cumulative
-// sequence, reorder buffer, ack pacing). Called on peer readmission
-// (liveness.go): the restarted peer starts its streams from scratch, so
-// any surviving state on our side — a cumSeq the new incarnation never
-// sent, an estimator tuned to the dead process — would silently
-// dup-drop or misclock the fresh streams. Both sides reset coherently:
-// the joiner's state is fresh by construction, the survivor resets here.
-func (r *reliability) resetPair(from, to int) {
-	p := r.pair(from, to)
-	p.mu.Lock()
+// releaseBufs returns every buffer the pair holds — its retransmission
+// queue and its reorder buffer — to the arena. Caller holds p.mu.
+func (p *relPair) releaseBufs() {
 	for i := range p.inflight {
 		p.inflight[i].wb.release()
 		p.inflight[i] = relEntry{}
@@ -892,24 +895,7 @@ func (r *reliability) resetPair(from, to int) {
 		wb.release()
 		delete(p.reorder, seq)
 	}
-	p.nextSeq = 0
-	p.srtt = 0
-	p.rttvar = 0
-	p.rto = relRTO
-	p.cwnd = r.window
-	p.sendAcked = 0
-	p.recoverSeq = 0
-	p.cumSeq = 0
-	p.lastAck = 0
 	p.reorderBytes = 0
-	p.shedRecent = 0
-	p.ackPending = false
-	p.ackSince = 0
-	p.ackDelay = relAckDelay
-	p.ackHint.Store(false)
-	p.down = false
-	p.bpBlocked = false
-	p.mu.Unlock()
 }
 
 // shutdown stops the ticker (idempotent) and marks the layer closed so
@@ -929,16 +915,7 @@ func (r *reliability) drainState() {
 	for i := range r.pairs {
 		p := &r.pairs[i]
 		p.mu.Lock()
-		for j := range p.inflight {
-			p.inflight[j].wb.release()
-			p.inflight[j] = relEntry{}
-		}
-		p.inflight = p.inflight[:0]
-		for seq, wb := range p.reorder {
-			wb.release()
-			delete(p.reorder, seq)
-		}
-		p.reorderBytes = 0
+		p.releaseBufs()
 		p.mu.Unlock()
 	}
 }

@@ -203,13 +203,7 @@ func (d *Domain) initUDP() error {
 		return err
 	}
 	if !d.cfg.UDPUnreliable {
-		// The detector must exist before the reliability ticker starts
-		// (newReliability captures it), so exhaustion events observed on
-		// the very first sweep already have somewhere to go.
-		if !d.cfg.DisableLiveness {
-			d.lv = newLiveness(d, clockRefresh())
-		}
-		d.rel = newReliability(d)
+		startReliability(d)
 	}
 	for r := 0; r < d.cfg.Ranks; r++ {
 		d.startReader(tr, d.eps[r], tr.read[r])

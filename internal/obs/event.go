@@ -21,10 +21,11 @@ const (
 	// Alive→Suspect (silence past SuspectAfter, or sustained receive-side
 	// shedding).
 	EvPeerSuspect EventKind = iota
-	// EvPeerDown: a peer was declared Down — silence past DownAfter or an
-	// exhausted retransmission budget. Down holds until the peer's next
-	// incarnation rejoins (EvPeerReadmitted); within one incarnation it is
-	// sticky.
+	// EvPeerDown: a peer was declared Down — silence past DownAfter, an
+	// exhausted retransmission budget, or a goodbye. Down holds until the
+	// peer comes back: under the same incarnation once a partition probe
+	// gets through (EvPeerHealed, silence-driven Down only), or under its
+	// next incarnation when it rejoins (EvPeerReadmitted).
 	EvPeerDown
 	// EvPeerRecovered: a Suspect peer was heard from again and returned
 	// to Alive.
@@ -68,8 +69,8 @@ const (
 	EvStaleIncarnation
 	// EvPartitionSuspected: a peer was declared Down through SILENCE
 	// (heartbeat timeout or retransmit exhaustion, as opposed to a goodbye
-	// frame) with healing enabled — indistinguishable from a network
-	// partition, so the detector begins probing the pair for recovery.
+	// frame) — indistinguishable from a network partition, so the
+	// detector begins probing the pair for recovery.
 	// Emitted alongside the EvPeerDown of the same transition.
 	EvPartitionSuspected
 	// EvPeerHealed: a silence-declared Down peer answered a partition

@@ -48,7 +48,6 @@ func multiprocWorker(scenario string) error {
 		HeartbeatEvery: 2 * time.Millisecond,
 		SuspectAfter:   20 * time.Millisecond,
 		DownAfter:      80 * time.Millisecond,
-		DisableHealing: os.Getenv(disableHealEnv) != "",
 	}
 	if strings.HasPrefix(scenario, "partition") {
 		// The partition workers assert heal counts and liveness states on
@@ -86,9 +85,7 @@ func multiprocWorker(scenario string) error {
 		case "churn":
 			churnScenario(w, r, echo, bump, &notifies)
 		case "partition":
-			partitionScenario(w, r, echo, bump, &notifies, false)
-		case "partition-terminal":
-			partitionScenario(w, r, echo, bump, &notifies, true)
+			partitionScenario(w, r, echo)
 		case "serve":
 			serveScenario(r)
 		case "bench":

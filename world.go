@@ -257,14 +257,11 @@ type Config struct {
 
 	// DownAfter is the silence bound before a peer is declared Down: its
 	// pending and future operations fail with ErrPeerUnreachable (default
-	// 40×HeartbeatEvery). Down holds until the peer's NEXT incarnation
-	// announces itself through the join/readmission protocol — the dead
-	// incarnation itself can never return.
+	// 40×HeartbeatEvery). Down holds until the peer comes back: a peer
+	// that was only partitioned heals under the same incarnation once
+	// partition probes get through, and a restarted peer is readmitted
+	// when its next incarnation announces itself with join frames.
 	DownAfter time.Duration
-
-	// DisableLiveness turns the UDP heartbeat/failure-detection machinery
-	// off (retransmission exhaustion then aborts the job).
-	DisableLiveness bool
 
 	// Version selects the emulated library behaviour. The zero value
 	// selects Eager2021_3_6, the paper's proposed default.
@@ -313,18 +310,6 @@ type Config struct {
 	// restarted rank would wait on peers that silently drop its
 	// new-incarnation frames. Only meaningful with Multiproc.
 	Rejoin bool
-
-	// DisableReadmission makes Down permanent again: join frames from
-	// restarted peers are ignored, restoring the pre-churn "Down is
-	// forever" contract for deployments that replace failed ranks by
-	// relaunching the whole world.
-	DisableReadmission bool
-
-	// DisableHealing makes silence-driven Down terminal again: a peer
-	// declared dead because the network went quiet (a partition, not a
-	// goodbye) is never probed and never healed back to Alive. Readmission
-	// of genuinely restarted ranks is unaffected.
-	DisableHealing bool
 
 	// Peers is the rank-indexed UDP address table of a Multiproc world.
 	Peers []netip.AddrPort
@@ -386,15 +371,12 @@ func NewWorld(cfg Config) (*World, error) {
 		HeartbeatEvery:   cfg.HeartbeatEvery,
 		SuspectAfter:     cfg.SuspectAfter,
 		DownAfter:        cfg.DownAfter,
-		DisableLiveness:  cfg.DisableLiveness,
 		Multiproc:        cfg.Multiproc,
 		Self:             cfg.Self,
 		Peers:            cfg.Peers,
 		SelfConn:         cfg.SelfConn,
 		Epoch:            cfg.Epoch,
 		Rejoin:           cfg.Rejoin,
-		DisableReadmission: cfg.DisableReadmission,
-		DisableHealing:     cfg.DisableHealing,
 		Events:           bus,
 	})
 	if err != nil {
@@ -730,9 +712,9 @@ func (w *World) SetPairFault(from, to int, cfg FaultConfig) error {
 // probes included) between ranks in different groups is dropped. Ranks
 // not listed form an implicit group of their own. The liveness machine
 // then declares the cut pairs Down; HealPartition restores the network
-// and lets them heal back to Alive under the same incarnation (unless
-// Config.DisableHealing). In a multiproc world each process applies its
-// own senders' half — coordinate with the GUPCXX_UDP_SCENARIO DSL.
+// and lets them heal back to Alive under the same incarnation. In a
+// multiproc world each process applies its own senders' half —
+// coordinate with the GUPCXX_UDP_SCENARIO DSL.
 func (w *World) SetPartition(groups [][]int) error {
 	return w.dom.SetPartition(groups)
 }
