@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check staticcheck bench bench-json test-loss test-fault test-soak bench-reliable bench-pipeline bench-syscall check-bench5 bench-obs check-bench6 test-obs test-multiproc bench-multiproc check-bench7 test-churn test-partition ci
+.PHONY: build test race vet fmt-check staticcheck bench test-loss test-fault test-soak bench-obs check-bench6 test-obs test-multiproc test-churn test-partition ci
 
 build:
 	$(GO) build ./...
@@ -41,12 +41,6 @@ bench:
 	$(GO) test -run XXX -bench '$(BENCH_PATTERN)' -benchmem -count 3 ./internal/gasnet/
 	$(GO) test -run XXX -bench BenchmarkCollectiveExchange -benchmem -count 3 .
 
-# Re-record the benchmark baseline (BENCH_1.json holds the checked-in one).
-bench-json:
-	{ $(GO) test -run XXX -bench '$(BENCH_PATTERN)' -benchmem -count 3 ./internal/gasnet/ ; \
-	  $(GO) test -run XXX -bench BenchmarkCollectiveExchange -benchmem -count 3 . ; } \
-	| ./scripts/bench2json.sh > BENCH_1.json
-
 # Run the UDP-touching test packages with deterministic fault injection on
 # every domain: 25% drop + duplication + reordering from a fixed seed. The
 # reliability layer (DESIGN.md §8) must make every test pass regardless.
@@ -76,45 +70,6 @@ test-fault:
 test-soak:
 	GUPCXX_SOAK_SECONDS=30 GUPCXX_UDP_FAULT="drop=0.25,seed=7" \
 		$(GO) test -count 1 -race -run TestSoakMixedChurn -timeout 10m .
-
-# Reliability-layer overhead: sequenced vs raw datagrams on a clean wire,
-# plus recovery cost at 10% drop. BENCH_2.json holds the checked-in record.
-bench-reliable:
-	$(GO) test -run XXX -bench BenchmarkReliableOverhead -benchmem -count 3 ./internal/gasnet/ \
-		| ./scripts/bench2json.sh > BENCH_2.json
-
-# Unified-pipeline op latency/allocs per version (put/get/fetchadd/rpc).
-# BENCH_3.json holds the checked-in record; check_bench3.sh fails the
-# target if any eager-version row regressed to allocating.
-bench-pipeline:
-	$(GO) test -run XXX -bench 'BenchmarkOpPipeline$$' -benchmem -count 3 . \
-		| ./scripts/bench2json.sh > BENCH_3.json
-	./scripts/check_bench3.sh BENCH_3.json
-
-# Same pipeline suite re-recorded after the flow-control work (BENCH_4.json
-# is the checked-in record): admission sits on the initiation path, so this
-# is the proof it costs nothing on-node — the eager rows must still show
-# zero allocations, enforced by the same gate as BENCH_3.
-bench-flow:
-	$(GO) test -run XXX -bench 'BenchmarkOpPipeline$$' -benchmem -count 3 . \
-		| ./scripts/bench2json.sh > BENCH_4.json
-	./scripts/check_bench3.sh BENCH_4.json
-
-# Vectorized-datapath record: per-version pipeline rows plus the
-# asynchronous completion-form rows (future vs continuation) and the UDP
-# coalescing bench with its syscalls-per-burst metrics. BENCH_5.json is
-# the checked-in record; check_bench5.sh fails the regeneration if a
-# continuation row allocates or an eager row regresses.
-bench-syscall:
-	{ $(GO) test -run XXX -bench 'BenchmarkOpPipeline$$|BenchmarkOpPipelineAsync$$' -benchmem -count 3 . ; \
-	  $(GO) test -run XXX -bench BenchmarkUDPCoalesce -benchmem -count 3 ./internal/gasnet/ ; } \
-	| ./scripts/bench2json.sh > BENCH_5.json
-	./scripts/check_bench5.sh BENCH_5.json
-
-# Validate the checked-in BENCH_5 record without re-running the benches —
-# cheap enough for every CI run; bench-syscall re-records and re-checks.
-check-bench5:
-	./scripts/check_bench5.sh BENCH_5.json
 
 # Operations-plane overhead record: the eager pipeline baseline next to
 # the same families with the metrics plane active (Observed = listener
@@ -178,20 +133,5 @@ test-partition:
 	$(GO) test -race -count 1 -run 'TestScenarioParse|TestSetFaultMidRunArming|TestLatencyInjection|TestPartition|TestPeerLifecycleTable|TestAsymmetricLoss|TestHealResets' ./internal/gasnet/
 	$(GO) test -race -count 1 -run 'TestMultiprocPartition' -timeout 10m .
 
-# Cross-process record: the op-pipeline families on an in-process UDP
-# world (wire armed, locality resolves to memory) next to the same
-# families crossing a real process boundary over loopback (rank 1 is a
-# spawned child). BENCH_7.json is the checked-in record; check_bench7.sh
-# pins the in-process eager rows at 0 allocs/op and requires all four
-# cross-process families to be present.
-bench-multiproc:
-	$(GO) test -run XXX -bench 'BenchmarkOpPipelineUDP$$|BenchmarkOpPipelineMultiproc$$' -benchmem . \
-		| ./scripts/bench2json.sh > BENCH_7.json
-	./scripts/check_bench7.sh BENCH_7.json
-
-# Validate the checked-in BENCH_7 record without re-running the benches.
-check-bench7:
-	./scripts/check_bench7.sh BENCH_7.json
-
 # Everything CI runs, in CI's order.
-ci: build test race vet fmt-check staticcheck check-bench5 check-bench6 check-bench7 test-obs test-loss test-fault test-soak test-multiproc test-churn test-partition
+ci: build test race vet fmt-check staticcheck check-bench6 test-obs test-loss test-fault test-soak test-multiproc test-churn test-partition

@@ -19,9 +19,9 @@ const wireIterCap = 20_000
 // maybeWorker runs this process as one rank of a gupcxxrun-launched
 // world: per-operation latency of put/get/fetch-add against the next
 // rank — real sockets, real kernels, the loopback-multiproc numbers to
-// hold against the in-process UDP conduit (BENCH_7). Rank 0 drives and
-// reports; other ranks serve progress inside the closing barrier.
-// Never returns when GUPCXX_WORLD is set.
+// hold against the in-process UDP conduit (BenchmarkOpPipelineUDP).
+// Rank 0 drives and reports; other ranks serve progress inside the
+// closing barrier. Never returns when GUPCXX_WORLD is set.
 func maybeWorker() {
 	worker.Maybe("microbench", func(int) gupcxx.Config {
 		return gupcxx.Config{SegmentBytes: 1 << 16}

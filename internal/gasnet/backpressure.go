@@ -45,9 +45,9 @@ func (e *BackpressureError) Is(target error) bool { return target == ErrBackpres
 // Admission is an occupancy check, not a reservation: coalescing can pack
 // several admitted messages into one datagram, so a reserved-credit
 // scheme would leak credits. The residual over-admission is bounded by
-// rel.send's own (liveness-aware) window block.
+// Endpoint.seal's own (liveness-aware) window block.
 //
-// Conduits without a reliability layer (SMP, PSHM, SIM, unreliable UDP)
+// Conduits without a reliability layer (SMP, PSHM, SIM)
 // and self-sends have no window to fill and are always admitted.
 func (ep *Endpoint) AdmitSend(to int, maxWait time.Duration) error {
 	d := ep.dom

@@ -274,7 +274,7 @@ func TestChurnDownGenScopesSweep(t *testing.T) {
 
 	closeAbrupt(doms[1])
 	spinDoms(t, doms[:1], func() bool { return ep0.PeerDown(1) })
-	if gen := ep0.DownGen(1); gen != 1 {
+	if gen, _ := ep0.PeerGen(1); gen != 1 {
 		t.Fatalf("death generation %d after first death, want 1", gen)
 	}
 

@@ -104,9 +104,8 @@ type Domain struct {
 	notifyHook func(ep *Endpoint, id uint32, args []byte)
 
 	// udp is the socket transport, present only on the UDP conduit; rel is
-	// its reliability layer, absent under Config.UDPUnreliable; lv is the
-	// peer-failure detector riding rel's ticker, present exactly when rel
-	// is.
+	// its reliability layer and lv the peer-failure detector riding rel's
+	// ticker, both present exactly when udp is.
 	udp *udpTransport
 	rel *reliability
 	lv  *liveness
@@ -207,7 +206,7 @@ type Stats struct {
 	// RecvBatchFrames count the datagrams they moved, so frames-per-call
 	// is derivable; the HighWater fields record the largest single call
 	// each way. All six stay zero on the sequential fallback path
-	// (non-Linux, Config.UDPNoMmsg), making the active datapath — and the
+	// (non-Linux, or Config.noMmsg set), making the active datapath — and the
 	// syscall amortization itself — assertable: a coalesced burst of N
 	// frames to distinct destinations is N datagrams but one
 	// SendmmsgCall.
@@ -590,7 +589,7 @@ type Endpoint struct {
 	// state.
 	lvSeen     uint32
 	deathsSeen []uint32
-	onPeerDown func(peer int, err error)
+	onPeerDown func(peer int, gen uint32, err error)
 }
 
 // Rank returns this endpoint's rank index.
@@ -636,7 +635,7 @@ func (ep *Endpoint) Send(to int, m Msg) {
 		if ep.burst > 0 {
 			ep.coalesce(to, &m)
 		} else {
-			ep.dom.sendUDP(ep.rank, to, &m)
+			ep.sendUDP(to, &m)
 		}
 		m.release()
 		return
@@ -758,7 +757,7 @@ func (ep *Endpoint) dispatch(m *Msg) {
 // peer may die and be readmitted between two polls, and the operations in
 // flight against its dead incarnation must still fail even though the
 // peer reads Alive again, while operations registered after readmission
-// (stamped with the newer generation by DownGen) must survive. Owner
+// (stamped with the newer generation by PeerGen) must survive. Owner
 // goroutine only (called from Poll).
 func (ep *Endpoint) sweepDown(lv *liveness) {
 	ep.lvSeen = lv.epochOf(ep.rank)
@@ -766,7 +765,7 @@ func (ep *Endpoint) sweepDown(lv *liveness) {
 		ep.deathsSeen = make([]uint32, ep.dom.cfg.Ranks)
 	}
 	for peer := range ep.deathsSeen {
-		cur := lv.deathsOf(ep.rank, peer)
+		cur, _ := lv.genOf(ep.rank, peer)
 		if peer == ep.rank || cur == ep.deathsSeen[peer] {
 			continue
 		}
@@ -774,28 +773,32 @@ func (ep *Endpoint) sweepDown(lv *liveness) {
 		n := ep.ops.failPeer(int32(peer), cur, ErrPeerUnreachable)
 		ep.dom.downPeerFails.Add(int64(n))
 		if ep.onPeerDown != nil {
-			ep.onPeerDown(peer, ErrPeerUnreachable)
+			ep.onPeerDown(peer, cur, ErrPeerUnreachable)
 		}
 	}
 }
 
-// DownGen returns the current death generation of peer as seen by this
-// rank: the stamp a new op-table registration should carry so a later
-// sweep can tell operations against the current incarnation from ones
-// buried with a previous one. Zero without a failure detector.
-func (ep *Endpoint) DownGen(peer int) uint32 {
+// PeerGen reads this rank's view of peer in one atomic load: gen is the
+// death generation a new op-table registration is stamped with, so a
+// later sweep can tell ops against the current incarnation from ones
+// buried with a previous one; down means the op must be refused instead.
+// Injection reads both here, never PeerDown then a generation: a death
+// between the two reads would let the op outlive its sweep. (0, false)
+// without a failure detector.
+func (ep *Endpoint) PeerGen(peer int) (gen uint32, down bool) {
 	lv := ep.dom.lv
 	if lv == nil || peer < 0 || peer >= ep.dom.cfg.Ranks {
-		return 0
+		return 0, false
 	}
-	return lv.deathsOf(ep.rank, peer)
+	return lv.genOf(ep.rank, peer)
 }
 
 // SetPeerDownHook installs the runtime layer's peer-death notification,
-// invoked on the owner goroutine during Poll, once per declared-dead peer,
-// after the endpoint's own pending operations have been failed. Must be
+// invoked on the owner goroutine during Poll, once per death generation a
+// peer advanced through, after the endpoint's own pending operations
+// stamped with an older generation than gen have been failed. Must be
 // installed before the endpoint is driven.
-func (ep *Endpoint) SetPeerDownHook(fn func(peer int, err error)) { ep.onPeerDown = fn }
+func (ep *Endpoint) SetPeerDownHook(fn func(peer int, gen uint32, err error)) { ep.onPeerDown = fn }
 
 // PeerDown reports whether this rank currently declares peer down (always
 // false without the liveness detector). Operations targeting a down peer
@@ -957,7 +960,7 @@ type opSlot struct {
 	dst  []byte
 	peer int32
 	// gen is the peer's death generation at registration (Endpoint.
-	// DownGen): a peer-death sweep fails only entries whose gen predates
+	// PeerGen): a peer-death sweep fails only entries whose gen predates
 	// the death, so operations registered against a readmitted peer
 	// survive the sweep burying its previous incarnation.
 	gen uint32
@@ -983,7 +986,7 @@ type opTable struct {
 
 // add registers a reply-consuming completion callback and returns its
 // cookie. gen is the target's death generation at registration
-// (Endpoint.DownGen), as for all three registration forms.
+// (Endpoint.PeerGen), as for all three registration forms.
 func (t *opTable) add(peer int, gen uint32, cb func(*Msg, error)) uint64 {
 	return t.register(opSlot{msg: cb, peer: int32(peer), gen: gen})
 }

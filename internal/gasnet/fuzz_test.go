@@ -227,7 +227,8 @@ func FuzzRecoveryFrames(f *testing.F) {
 		if len(data) > bufClassLarge {
 			data = data[:bufClassLarge]
 		}
-		inc, gen := d.IncarnationOf(0, 1), ep0.DownGen(1)
+		inc := d.IncarnationOf(0, 1)
+		gen, _ := ep0.PeerGen(1)
 		wb := d.arena.get(bufClassLarge)
 		wb.b = append(wb.b[:0], data...)
 		d.receiveDatagram(ep0, wb)
@@ -235,7 +236,7 @@ func FuzzRecoveryFrames(f *testing.F) {
 		if got := d.IncarnationOf(0, 1); got < inc {
 			t.Fatalf("recorded incarnation went backwards: %d -> %d", inc, got)
 		}
-		if got := ep0.DownGen(1); got < gen {
+		if got, _ := ep0.PeerGen(1); got < gen {
 			t.Fatalf("death generation went backwards: %d -> %d", gen, got)
 		}
 	})

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -150,13 +152,13 @@ func lcView(t *testing.T, d *Domain, before Stats, evs []obs.Event) string {
 	lv := d.lv
 	i := lv.idx(0, 1)
 	var b strings.Builder
-	b.WriteString([]string{"alive", "suspect", "down"}[lv.state[i].Load()])
+	b.WriteString([]string{"alive", "suspect", "down"}[lv.stateOf(0, 1)])
 	if c := lv.downCause[i].Load(); c != causeNone {
 		b.WriteString([]string{"", "/net", "/bye"}[c])
 	}
 	fmt.Fprintf(&b, " inc=%d", lv.incOf(0, 1))
-	if deaths, epoch := lv.deathsOf(0, 1), lv.epochOf(0); deaths != 0 || epoch != 0 {
-		fmt.Fprintf(&b, " deaths=%d epoch=%d", deaths, epoch)
+	if deaths, _ := lv.genOf(0, 1); deaths != 0 || lv.epochOf(0) != 0 {
+		fmt.Fprintf(&b, " deaths=%d epoch=%d", deaths, lv.epochOf(0))
 	}
 	p := d.rel.pair(0, 1)
 	p.mu.Lock()
@@ -309,5 +311,74 @@ func TestPeerLifecycleTable(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestChurnInjectionRacesFlap: injection reads a peer's down state and
+// death generation from one snapshot (Endpoint.PeerGen). A flapper drives
+// rank 0's view of rank 1 through markDown(causeBye) and revive under a
+// newer incarnation — the entry points TestPeerLifecycleTable drives one
+// at a time — while the owner keeps issuing puts and polling. Rank 1
+// never answers, so every put ends refused at injection or failed by a
+// sweep: each callback runs exactly once, and after every death the op
+// table drains to empty. A put that paired a pre-death "alive" with the
+// post-death generation would outlive the sweep and keep it from
+// draining.
+func TestChurnInjectionRacesFlap(t *testing.T) {
+	const flaps = 200
+	d := lcDomain(t, false, nil)
+	lv, ep0 := d.lv, d.Endpoint(0)
+
+	var downs, drained atomic.Int32 // deaths published / deaths drained
+	var issued atomic.Int64
+	errc := make(chan error, 1)
+	go func() {
+		for k := int32(1); ; k++ {
+			lv.markDown(0, 1, causeBye)
+			downs.Store(k)
+			deadline := time.Now().Add(10 * time.Second)
+			for drained.Load() < k {
+				if time.Now().After(deadline) {
+					errc <- fmt.Errorf("death %d: %d ops outlived the sweep", k, ep0.PendingOps())
+					return
+				}
+				runtime.Gosched()
+			}
+			if k == flaps {
+				return
+			}
+			lv.revive(0, 1, lcInc+uint32(k), netip.AddrPort{})
+			// Let the owner inject against the revived peer for a while,
+			// so the next death lands amid injections.
+			for from := issued.Load(); issued.Load() < from+16; {
+				runtime.Gosched()
+			}
+		}
+	}()
+
+	var calls []int
+	for drained.Load() < flaps {
+		select {
+		case err := <-errc:
+			t.Fatal(err)
+		default:
+		}
+		k := downs.Load()
+		ep0.Poll() // sweeps every death published before k was read
+		if k > drained.Load() && ep0.PendingOps() == 0 {
+			drained.Store(k)
+		}
+		i := len(calls)
+		calls = append(calls, 0)
+		ep0.PutRemote(1, 0, []byte{1}, nil, func(error) { calls[i]++ })
+		issued.Add(1)
+	}
+	for i, n := range calls {
+		if n != 1 {
+			t.Errorf("put %d completed %d times, want 1", i, n)
+		}
+	}
+	if n := ep0.PendingOps(); n != 0 {
+		t.Errorf("%d ops still pending", n)
 	}
 }

@@ -67,8 +67,8 @@ const (
 const probeGapMax = 16
 
 // liveness is the per-domain peer-failure detector, present only on the
-// reliable UDP conduit. Detection is pairwise and one-directional: rank
-// local tracks what it has heard from rank peer, so an asymmetric fault
+// UDP conduit. Detection is pairwise and one-directional: rank local
+// tracks what it has heard from rank peer, so an asymmetric fault
 // (one rank's sends all dropped) is observed by everyone else while the
 // faulty rank still sees its peers as alive.
 //
@@ -108,11 +108,19 @@ type liveness struct {
 
 	// round is the number of completed heartbeat broadcast rounds; it is
 	// the detector's logical clock. heardRound[local*ranks+peer] is the
-	// round during which local last received anything from peer; state is
-	// the corresponding peer state.
+	// round during which local last received anything from peer.
 	round      atomic.Int64
 	heardRound []atomic.Int64
-	state      []atomic.Int32
+
+	// view[local*ranks+peer] packs local's view of peer into one word: the
+	// peer state (peerAlive/Suspect/Down) in the low half, the death count
+	// in the high half. Op-table entries are stamped with the count at
+	// registration (Endpoint.PeerGen) and the Poll-time sweep fails exactly
+	// those whose stamp predates it, so ops registered against a readmitted
+	// peer survive the sweep that buries its predecessor. One word, one
+	// load: an injector cannot pair a pre-death Alive with a post-death
+	// count. Only mmu holders move the count; Alive⇄Suspect CASes keep it.
+	view []atomic.Uint64
 
 	// epoch[local] increments whenever some peer of local goes down; rank
 	// goroutines compare it against their last-seen value in Poll and
@@ -131,14 +139,6 @@ type liveness struct {
 	// sequenced streams (a reset sender's frames 1..n would be dup-dropped
 	// yet re-acked by a receiver whose cumSeq survived).
 	peerInc []atomic.Uint32
-
-	// deaths[local*ranks+peer] counts how many times local has declared
-	// peer down. Op-table entries are stamped with the count at
-	// registration (Endpoint.DownGen); the Poll-time sweep fails exactly
-	// the entries whose stamp predates the current count, so operations
-	// registered against a readmitted peer survive the sweep that buries
-	// its previous incarnation.
-	deaths []atomic.Uint32
 
 	// staleEv[local*ranks+peer] edge-limits EvStaleIncarnation: armed on
 	// the first stale drop of an episode, cleared by revive.
@@ -188,10 +188,9 @@ func newLiveness(d *Domain, now int64) *liveness {
 		suspectRounds: roundsFor(int64(d.cfg.SuspectAfter), hb),
 		downRounds:    roundsFor(int64(d.cfg.DownAfter), hb),
 		heardRound:    make([]atomic.Int64, d.cfg.Ranks*d.cfg.Ranks),
-		state:         make([]atomic.Int32, d.cfg.Ranks*d.cfg.Ranks),
+		view:          make([]atomic.Uint64, d.cfg.Ranks*d.cfg.Ranks),
 		epoch:         make([]atomic.Uint32, d.cfg.Ranks),
 		peerInc:       make([]atomic.Uint32, d.cfg.Ranks*d.cfg.Ranks),
-		deaths:        make([]atomic.Uint32, d.cfg.Ranks*d.cfg.Ranks),
 		staleEv:       make([]atomic.Bool, d.cfg.Ranks*d.cfg.Ranks),
 		downCause:     make([]atomic.Int32, d.cfg.Ranks*d.cfg.Ranks),
 		probeGap:      make([]atomic.Int32, d.cfg.Ranks*d.cfg.Ranks),
@@ -240,6 +239,25 @@ func roundsFor(silence, hbEvery int64) int64 {
 
 func (lv *liveness) idx(local, peer int) int { return local*lv.ranks + peer }
 
+// packView, viewState and viewDeaths encode and decode one view word.
+func packView(deaths uint32, state int32) uint64 { return uint64(deaths)<<32 | uint64(uint32(state)) }
+func viewState(v uint64) int32                   { return int32(uint32(v)) }
+func viewDeaths(v uint64) uint32                 { return uint32(v >> 32) }
+
+// casState moves the view at index i from state from to state to,
+// keeping its death count; it reports whether the move happened.
+func (lv *liveness) casState(i int, from, to int32) bool {
+	for {
+		v := lv.view[i].Load()
+		if viewState(v) != from {
+			return false
+		}
+		if lv.view[i].CompareAndSwap(v, packView(viewDeaths(v), to)) {
+			return true
+		}
+	}
+}
+
 // heard records that local received traffic from peer, stamping the
 // detector's current round. A Suspect peer recovers to Alive; a Down peer
 // stays Down — ordinary traffic never resurrects it after its operations
@@ -250,14 +268,14 @@ func (lv *liveness) heard(local, peer int) {
 	}
 	i := lv.idx(local, peer)
 	lv.heardRound[i].Store(lv.round.Load())
-	if lv.state[i].CompareAndSwap(peerSuspect, peerAlive) {
+	if lv.casState(i, peerSuspect, peerAlive) {
 		lv.d.emit(obs.EvPeerRecovered, local, peer, 0, 0)
 	}
 }
 
 // stateOf returns local's current view of peer.
 func (lv *liveness) stateOf(local, peer int) int32 {
-	return lv.state[lv.idx(local, peer)].Load()
+	return viewState(lv.view[lv.idx(local, peer)].Load())
 }
 
 // down reports whether local has declared peer down.
@@ -277,10 +295,12 @@ func (lv *liveness) incOf(local, peer int) uint32 {
 	return lv.peerInc[lv.idx(local, peer)].Load()
 }
 
-// deathsOf returns how many times local has declared peer down — the
-// generation stamp for op-table entries (see the deaths field).
-func (lv *liveness) deathsOf(local, peer int) uint32 {
-	return lv.deaths[lv.idx(local, peer)].Load()
+// genOf returns, from one load, how many times local has declared peer
+// down — the generation stamp for op-table entries — and whether peer is
+// Down now (see the view field).
+func (lv *liveness) genOf(local, peer int) (gen uint32, down bool) {
+	v := lv.view[lv.idx(local, peer)].Load()
+	return viewDeaths(v), viewState(v) == peerDown
 }
 
 // checkInc is the incarnation gate every received frame (sequenced,
@@ -312,7 +332,7 @@ func (lv *liveness) checkInc(local, peer int, inc uint32) bool {
 	for {
 		rec := lv.peerInc[i].Load()
 		if rec == inc {
-			if lv.state[i].Load() == peerDown {
+			if lv.stateOf(local, peer) == peerDown {
 				// The recorded incarnation was declared dead: its late
 				// datagrams drain out as counted stale drops — they must
 				// not refresh the silence clock or look like recovery.
@@ -352,7 +372,7 @@ func (lv *liveness) markSuspect(local, peer int) {
 	if peer < 0 || peer >= lv.ranks || peer == local {
 		return
 	}
-	if lv.state[lv.idx(local, peer)].CompareAndSwap(peerAlive, peerSuspect) {
+	if lv.casState(lv.idx(local, peer), peerAlive, peerSuspect) {
 		lv.d.peersSuspected.Add(1)
 		lv.d.emit(obs.EvPeerSuspect, local, peer, 0, 0)
 	}
@@ -369,11 +389,12 @@ func (lv *liveness) markDown(local, peer int, cause int32) {
 }
 
 // bury is markDown with lv.mmu held (revive buries a superseded
-// incarnation under it). The death is counted and its cause recorded
-// BEFORE Down becomes visible, so whoever observes Down also observes
-// its generation and whether it is healable; the epoch rises after, so a
-// sweep triggered by the epoch change finds the peer already Down and
-// new operations toward it refused at injection.
+// incarnation under it). The death is counted in the same store that
+// makes Down visible, and its cause is recorded before it, so whoever
+// observes Down also observes its generation and whether it is
+// healable; the epoch rises after, so a sweep triggered by the epoch
+// change finds the peer already Down and new operations toward it
+// refused at injection.
 //
 // The cause decides what happens to the reliability pair. A terminal
 // death (causeBye) releases it — in-flight buffers return to the pool,
@@ -383,12 +404,14 @@ func (lv *liveness) markDown(local, peer int, cause int32) {
 // receiver's cumulative stream could never close after a heal.
 func (lv *liveness) bury(local, peer int, cause int32) {
 	i := lv.idx(local, peer)
-	if lv.state[i].Load() == peerDown {
+	v := lv.view[i].Load()
+	if viewState(v) == peerDown {
 		return
 	}
-	lv.deaths[i].Add(1)
 	lv.downCause[i].Store(cause)
-	lv.state[i].Store(peerDown) // only mmu holders leave or enter Down
+	// A plain store: only mmu holders leave or enter Down or move the
+	// count, and a racing Alive⇄Suspect CAS loses to it.
+	lv.view[i].Store(packView(viewDeaths(v)+1, peerDown))
 	lv.epoch[local].Add(1)
 	lv.d.peersDown.Add(1)
 	lv.d.emit(obs.EvPeerDown, local, peer, 0, 0)
@@ -424,7 +447,7 @@ func (lv *liveness) handleProbe(local, peer int, inc uint32, kind byte) {
 		}
 		return
 	}
-	if lv.state[i].Load() == peerDown {
+	if lv.down(local, peer) {
 		if lv.downCause[i].Load() != causeNet {
 			return // said goodbye or was superseded: stays dead
 		}
@@ -469,7 +492,7 @@ func (lv *liveness) tick(now int64) {
 				continue
 			}
 			silent := round - lv.heardRound[i].Load()
-			switch lv.state[i].Load() {
+			switch lv.stateOf(local, peer) {
 			case peerAlive:
 				if silent >= lv.downRounds {
 					lv.markDown(local, peer, causeNet)
@@ -537,7 +560,7 @@ func (lv *liveness) sendProbes(round int64) {
 				continue
 			}
 			i := lv.idx(local, peer)
-			if lv.state[i].Load() != peerDown || lv.downCause[i].Load() != causeNet {
+			if !lv.down(local, peer) || lv.downCause[i].Load() != causeNet {
 				continue
 			}
 			if round < lv.probeNext[i].Load() {
@@ -635,16 +658,16 @@ func (lv *liveness) handleJoin(local, peer int, inc uint32, addr netip.AddrPort)
 //     contact with a peer never declared Down just adopts inc silently.
 //
 // The pair is re-armed BEFORE Alive becomes visible, so a sender that
-// observes Alive never races a parked or half-buried stream. deaths and
-// epoch are left alone: the death already happened and was swept; ops
-// issued afterwards carry the bumped generation stamp and survive any
-// sweep for the old death (domain.go).
+// observes Alive never races a parked or half-buried stream. The death
+// count and epoch are left alone: the death already happened and was
+// swept; ops issued afterwards carry the bumped generation stamp and
+// survive any sweep for the old death (domain.go).
 func (lv *liveness) revive(local, peer int, inc uint32, addr netip.AddrPort) {
 	lv.mmu.Lock()
 	defer lv.mmu.Unlock()
 	i := lv.idx(local, peer)
 	rec := lv.peerInc[i].Load()
-	wasDown := lv.state[i].Load() == peerDown
+	wasDown := lv.down(local, peer)
 	fresh := inc != rec
 	switch {
 	case !fresh:
@@ -670,7 +693,7 @@ func (lv *liveness) revive(local, peer int, inc uint32, addr netip.AddrPort) {
 	lv.peerInc[i].Store(inc)
 	lv.heardRound[i].Store(lv.round.Load())
 	lv.staleEv[i].Store(false)
-	lv.state[i].Store(peerAlive)
+	lv.view[i].Store(packView(viewDeaths(lv.view[i].Load()), peerAlive))
 	lv.downCause[i].Store(causeNone) // after: a Down pair always has its cause
 	if !wasDown {
 		return

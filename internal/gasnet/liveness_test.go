@@ -21,7 +21,7 @@ func TestRetransmitExhaustionMarksPeerDown(t *testing.T) {
 
 	var gotErr error
 	hookPeer := -1
-	ep0.SetPeerDownHook(func(peer int, err error) { hookPeer = peer })
+	ep0.SetPeerDownHook(func(peer int, _ uint32, err error) { hookPeer = peer })
 	ep0.PutRemote(1, 0, []byte{1, 2, 3, 4}, nil, func(err error) { gotErr = err })
 
 	deadline := time.Now().Add(10 * time.Second)

@@ -25,7 +25,7 @@ import (
 // counters, so tests (and operators) can assert which datapath is live.
 
 // mmsgAvailable reports whether this build uses the vectorized path
-// (subject to Config.UDPNoMmsg). Tests gate syscall-count assertions on
+// (subject to Config.noMmsg). Tests gate syscall-count assertions on
 // it.
 const mmsgAvailable = true
 
@@ -58,10 +58,10 @@ type mmsgConn struct {
 }
 
 // newBatchConn wraps conn in the vectorized adapter, or the sequential
-// fallback when Config.UDPNoMmsg asks for it (or the raw fd is
+// fallback when Config.noMmsg asks for it (or the raw fd is
 // unavailable).
 func newBatchConn(conn *net.UDPConn, d *Domain) batchConn {
-	if d.cfg.UDPNoMmsg {
+	if d.cfg.noMmsg {
 		return seqConn{conn}
 	}
 	rc, err := conn.SyscallConn()

@@ -76,11 +76,11 @@ func TestBatchSyscallAmortization(t *testing.T) {
 	}
 }
 
-// TestBatchFallbackSequential: Config.UDPNoMmsg forces the portable
+// TestBatchFallbackSequential: Config.noMmsg forces the portable
 // one-at-a-time adapter behind the same interface — traffic still flows,
 // and the mmsg counters stay zero, proving which datapath served it.
 func TestBatchFallbackSequential(t *testing.T) {
-	d := newTestDomain(t, Config{Ranks: 2, Conduit: UDP, UDPNoMmsg: true})
+	d := newTestDomain(t, Config{Ranks: 2, Conduit: UDP, noMmsg: true})
 	defer d.Close()
 	received := 0
 	d.RegisterHandler(HandlerUserBase, func(*Endpoint, *Msg) { received++ })
@@ -229,25 +229,27 @@ func TestFaultConnWriteBatch(t *testing.T) {
 }
 
 // TestBatchDeliveryCorruptFrame drives a multi-frame vectorized write
-// containing a corrupt datagram through real sockets: the valid frames
-// must be delivered, the corrupt one counted and dropped — the
-// kernel-facing half of the FuzzDecodeDatagram contract, now under
-// recvmmsg delivery.
+// containing a corrupt datagram through real sockets: the sequenced frames
+// around it must be delivered in order, the corrupt one counted and
+// dropped — the kernel-facing half of the FuzzDecodeDatagram contract,
+// under recvmmsg delivery.
 func TestBatchDeliveryCorruptFrame(t *testing.T) {
-	d := newTestDomain(t, Config{Ranks: 2, Conduit: UDP, UDPUnreliable: true})
+	// An explicit zero FaultConfig shields the forged frames from a
+	// GUPCXX_UDP_FAULT preset: they bypass the sender's retransmit queue,
+	// so a dropped one would never come back.
+	d := newTestDomain(t, Config{Ranks: 2, Conduit: UDP, Fault: &FaultConfig{}})
 	defer d.Close()
 	var got []uint64
 	d.RegisterHandler(HandlerUserBase, func(_ *Endpoint, m *Msg) { got = append(got, m.A0) })
 	ep1 := d.Endpoint(1)
 
-	valid := func(a0 uint64) []byte {
-		m := Msg{Handler: HandlerUserBase, From: 0, A0: a0}
-		return append([]byte{frameSingle}, encodeMsg(nil, &m)...)
-	}
+	seq1, seq2 := forgeSeqFrame(d, 1, nil), forgeSeqFrame(d, 2, nil)
+	defer seq1.release()
+	defer seq2.release()
 	frames := []batchFrame{
-		{b: valid(1), addr: d.udp.addrOf(1)},
+		{b: seq1.b, addr: d.udp.addrOf(1)},
 		{b: []byte{0xEE, 0xBA, 0xD0}, addr: d.udp.addrOf(1)}, // unknown tag
-		{b: valid(2), addr: d.udp.addrOf(1)},
+		{b: seq2.b, addr: d.udp.addrOf(1)},
 	}
 	if err := d.udp.send[0].WriteBatch(frames); err != nil {
 		t.Fatal(err)

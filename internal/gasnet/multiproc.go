@@ -63,9 +63,7 @@ func (d *Domain) initUDPMultiproc() error {
 		tr.close()
 		return err
 	}
-	if !d.cfg.UDPUnreliable {
-		startReliability(d)
-	}
+	startReliability(d)
 	d.startReader(tr, d.eps[self], bc)
 	return nil
 }

@@ -3,7 +3,6 @@ package gasnet
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,10 +13,9 @@ import (
 // The reliability layer gives the UDP conduit the delivery guarantees the
 // rest of the runtime assumes, the way GASNet-EX's UDP conduit implements
 // its own acks, retransmission, and duplicate suppression on top of raw
-// datagrams. Without it, the conduit is only sound on a lossless, ordered
-// loopback; with it, datagrams may be dropped, duplicated, or reordered
-// (see fault.go) and every active message is still delivered exactly once,
-// in per-peer FIFO order.
+// datagrams. Datagrams may be dropped, duplicated, or reordered (see
+// fault.go) and every active message is still delivered exactly once, in
+// per-peer FIFO order.
 //
 // Wire format: every payload datagram is wrapped in a sequenced frame
 //
@@ -320,53 +318,17 @@ func parseRelHeader(b []byte) (from uint16, inc, seq, ack uint32, err error) {
 	return from, inc, seq, ack, nil
 }
 
-// send stamps wb (whose first relHeaderLen bytes were reserved by the
+// trySeal stamps wb (whose first relHeaderLen bytes were reserved by the
 // caller) with the next sequence number for from→to and the piggybacked
-// cumulative ack for to→from, retains it in the retransmission queue, and
-// ships it. It blocks while the in-flight congestion window is full —
-// but the block is liveness-aware: acks arrive on the socket reader
-// goroutine (so credit frees without this goroutine running), and a peer
-// declared Down mid-block is re-checked every wakeup, so the sender
-// drains out promptly instead of wedging against a peer that will never
-// ack. Admission-controlled callers (AdmitSend) normally reserve credit
-// before reaching here, so this block is the backstop, not the policy.
-func (r *reliability) send(from, to int, wb *wireBuf) {
-	spin := 0
-	for {
-		ok, full := r.trySeal(from, to, wb)
-		if ok {
-			break
-		}
-		if !full {
-			// Racing shutdown, or a declared-dead destination: the datagram
-			// is dropped (the op pipeline fails down-peer operations with
-			// ErrPeerUnreachable; stalling the sender here would deadlock
-			// it against a peer that will never ack).
-			return
-		}
-		// Momentary fullness resolves within an ack round trip; yield a
-		// few times before escalating to real sleeps so a blocked sender
-		// costs no CPU while still observing a Down transition within a
-		// sleep quantum.
-		if spin < 4 {
-			spin++
-			runtime.Gosched()
-		} else {
-			time.Sleep(50 * time.Microsecond)
-		}
-	}
-	r.d.writeDatagram(from, to, wb.b)
-}
-
-// trySeal attempts the non-writing half of send: stamp wb with the next
-// sequence number and piggybacked ack and retain it in the
-// retransmission queue, without blocking and without putting it on the
-// wire — the batched send path seals a burst's frames one by one and
-// ships them in a single vectorized write. ok reports the frame was
-// sealed (the caller must now transmit wb.b exactly once, by any path);
-// when ok is false, full distinguishes a momentarily-full congestion
-// window (retry after letting acks drain) from a dropped frame
-// (shutdown or down peer — the caller still owns its wb reference).
+// cumulative ack for to→from, and retains it in the retransmission queue,
+// without blocking and without putting it on the wire: the single-message
+// path writes the sealed frame at once, the batched path seals a burst's
+// frames one by one and ships them in a single vectorized write. ok
+// reports the frame was sealed (the caller must now transmit wb.b exactly
+// once, by any path); when ok is false, full distinguishes a
+// momentarily-full congestion window (retry after letting acks drain —
+// Endpoint.seal's loop) from a dropped frame (shutdown or down peer — the
+// caller still owns its wb reference).
 func (r *reliability) trySeal(from, to int, wb *wireBuf) (ok, full bool) {
 	p := r.pair(from, to)
 	p.mu.Lock()

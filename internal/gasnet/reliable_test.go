@@ -2,6 +2,7 @@ package gasnet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"time"
@@ -201,10 +202,15 @@ func TestReliableReorderDelivery(t *testing.T) {
 
 // TestReliableWindowBounds: with a peer that acks nothing (100% drop),
 // the sender's in-flight queue stops at relWindow datagrams — bounding
-// arena memory — and the next send blocks instead of queueing.
+// arena memory — and the next send blocks instead of queueing. The AIMD
+// floor is the window itself, so an RTO firing mid-fill (likely under the
+// race detector) cannot halve it and block the filling loop, and
+// DownAfter is out of reach: a silence-declared Down releases the blocked
+// sender by design (TestWindowBlockedSendWakesOnPeerDown).
 func TestReliableWindowBounds(t *testing.T) {
 	d := newTestDomain(t, Config{
 		Ranks: 2, Conduit: UDP, Fault: &FaultConfig{Seed: 1, Drop: 1.0},
+		RelWindowMin: relWindow, DownAfter: time.Hour,
 	})
 	ep0 := d.Endpoint(0)
 	for i := 0; i < relWindow; i++ {
@@ -262,7 +268,22 @@ func TestCorruptDatagramsCountedAndDropped(t *testing.T) {
 	received := 0
 	d.RegisterHandler(HandlerUserBase, func(*Endpoint, *Msg) { received++ })
 	ep1 := d.Endpoint(1)
+	// Well-formed payload frames that skipped the sequenced wrapper: they
+	// would bypass the incarnation gate, duplicate suppression and
+	// ordering, so they are dropped like corrupt ones.
+	body := encodeMsg(nil, &Msg{Handler: HandlerUserBase, From: 0, A0: 7})
+	bareSingle := append([]byte{frameSingle}, body...)
+	bareBatch := binary.LittleEndian.AppendUint32([]byte{frameBatch, 1, 0}, uint32(len(body)))
+	bareBatch = append(bareBatch, body...)
+	for _, f := range [][]byte{bareSingle, bareBatch} {
+		it := parseDatagram(f)
+		if _, ok := it.next(); !ok {
+			t.Fatalf("test frame %x does not decode: %v", f, it.err)
+		}
+	}
 	bad := [][]byte{
+		bareSingle,                     // valid message, unsequenced
+		bareBatch,                      // valid batch, unsequenced
 		{},                             // empty datagram
 		{0xEE},                         // unknown frame tag
 		{frameSingle},                  // truncated wire message
@@ -279,6 +300,10 @@ func TestCorruptDatagramsCountedAndDropped(t *testing.T) {
 	}
 	if s := d.Stats(); s.DecodeErrors != int64(len(bad)) {
 		t.Errorf("DecodeErrors = %d, want %d", s.DecodeErrors, len(bad))
+	}
+	ep1.Poll()
+	if received != 0 {
+		t.Fatalf("unsequenced payload frames ran the handler %d times", received)
 	}
 	// The conduit still works.
 	d.Endpoint(0).Send(1, Msg{Handler: HandlerUserBase})

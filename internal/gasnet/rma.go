@@ -31,15 +31,16 @@ func nopDone(*Msg, error) {}
 // nopAck is the bare-acknowledgment equivalent.
 func nopAck(error) {}
 
-// refuseDown eagerly fails an operation targeting an already-declared-dead
-// peer, reporting whether it did. Failing at injection keeps the op table
+// injectGen returns the generation an op toward `to` is stamped with
+// (PeerGen), or ok false — counted in DownPeerFails — when `to` is already
+// declared dead and the op must fail on the spot, keeping the op table
 // free of entries the (already completed) sweep would never retire.
-func (ep *Endpoint) refuseDown(to int) bool {
-	if !ep.PeerDown(to) {
-		return false
+func (ep *Endpoint) injectGen(to int) (gen uint32, ok bool) {
+	gen, down := ep.PeerGen(to)
+	if down {
+		ep.dom.downPeerFails.Add(1)
 	}
-	ep.dom.downPeerFails.Add(1)
-	return true
+	return gen, !down
 }
 
 // PutRemote initiates a put of data into the target rank's segment at byte
@@ -56,11 +57,12 @@ func (ep *Endpoint) PutRemote(to int, off uint32, data []byte, remoteFn func(*En
 	if onDone == nil {
 		onDone = nopAck
 	}
-	if ep.refuseDown(to) {
+	gen, ok := ep.injectGen(to)
+	if !ok {
 		onDone(ErrPeerUnreachable)
 		return
 	}
-	cookie := ep.ops.addDone(to, ep.DownGen(to), onDone)
+	cookie := ep.ops.addDone(to, gen, onDone)
 	// Stage the payload in a pooled buffer: Send consumes the reference
 	// (transferring it to the receiver in-memory, or dropping it once the
 	// bytes are on the wire), so steady-state puts allocate nothing.
@@ -88,11 +90,12 @@ func (ep *Endpoint) PutNotifyRemote(to int, off uint32, data []byte, id uint32, 
 	if onDone == nil {
 		onDone = nopAck
 	}
-	if ep.refuseDown(to) {
+	gen, ok := ep.injectGen(to)
+	if !ok {
 		onDone(ErrPeerUnreachable)
 		return
 	}
-	cookie := ep.ops.addDone(to, ep.DownGen(to), onDone)
+	cookie := ep.ops.addDone(to, gen, onDone)
 	wb := ep.dom.arena.get(len(data) + len(args))
 	copy(wb.b, data)
 	copy(wb.b[len(data):], args)
@@ -190,7 +193,8 @@ func (ep *Endpoint) applyPutHeld(m *Msg) (fn func(*Endpoint), ok bool) {
 // been stored into dst (nil error) or the target is declared unreachable
 // (dst untouched).
 func (ep *Endpoint) GetRemote(to int, off uint32, n int, dst []byte, onDone func(error)) {
-	if ep.refuseDown(to) {
+	gen, ok := ep.injectGen(to)
+	if !ok {
 		if onDone != nil {
 			onDone(ErrPeerUnreachable)
 		}
@@ -202,7 +206,7 @@ func (ep *Endpoint) GetRemote(to int, off uint32, n int, dst []byte, onDone func
 	if onDone == nil {
 		onDone = nopAck
 	}
-	cookie := ep.ops.addGet(to, ep.DownGen(to), dst, onDone)
+	cookie := ep.ops.addGet(to, gen, dst, onDone)
 	ep.Send(to, Msg{
 		Handler: hGetReq,
 		A0:      cookie,
@@ -235,7 +239,8 @@ func handleGetReq(ep *Endpoint, m *Msg) {
 // down. Non-fetching callers pass an onOld that ignores its value (or
 // nil).
 func (ep *Endpoint) AmoRemote(to int, off uint32, op AmoOp, operand1, operand2 uint64, onOld func(old uint64, err error)) {
-	if ep.refuseDown(to) {
+	gen, ok := ep.injectGen(to)
+	if !ok {
 		if onOld != nil {
 			onOld(0, ErrPeerUnreachable)
 		}
@@ -251,7 +256,7 @@ func (ep *Endpoint) AmoRemote(to int, off uint32, op AmoOp, operand1, operand2 u
 			onOld(m.A1, nil)
 		}
 	}
-	cookie := ep.ops.add(to, ep.DownGen(to), cb)
+	cookie := ep.ops.add(to, gen, cb)
 	ep.Send(to, Msg{
 		Handler: hAmoReq,
 		A0:      cookie,

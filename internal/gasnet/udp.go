@@ -35,11 +35,12 @@ import (
 //
 //	[frameBatch u8] [count u16 LE] count × { [len u32 LE] [encodeMsg bytes] }
 //
-// frameSeq wraps either of the above in the reliability layer's sequenced
-// header (see reliable.go) — the default on this conduit; raw frames are
-// only emitted under Config.UDPUnreliable. The receiver unpacks a batch
-// into individual inbox messages that all share (and reference-count) the
-// datagram's pooled buffer.
+// Neither travels bare: every payload datagram wraps one of them in the
+// reliability layer's sequenced header (frameSeq, see reliable.go), and a
+// bare frameSingle or frameBatch arriving on the socket is counted as a
+// decode error and dropped. The receiver unpacks a batch into individual
+// inbox messages that all share (and reference-count) the datagram's
+// pooled buffer.
 //
 // The receive path never trusts the kernel-delivered bytes: truncated or
 // corrupt frames of any kind are counted (Stats.DecodeErrors) and dropped,
@@ -93,7 +94,7 @@ type batchFrame struct {
 // batchConn extends the send path's packetConn with the vectorized read
 // the conduit's reader goroutines use. Constructed per socket by
 // newBatchConn: sendmmsg/recvmmsg on capable Linux platforms, the
-// sequential seqConn elsewhere (and under Config.UDPNoMmsg). The fault
+// sequential seqConn elsewhere (and when Config.noMmsg asks). The fault
 // shim wraps only the write side — faults are send-side injection, so
 // the reader always consumes the unwrapped batchConn.
 type batchConn interface {
@@ -202,9 +203,7 @@ func (d *Domain) initUDP() error {
 		tr.close()
 		return err
 	}
-	if !d.cfg.UDPUnreliable {
-		startReliability(d)
-	}
+	startReliability(d)
 	for r := 0; r < d.cfg.Ranks; r++ {
 		d.startReader(tr, d.eps[r], tr.read[r])
 	}
@@ -258,10 +257,13 @@ func (d *Domain) startReader(tr *udpTransport, ep *Endpoint, bc batchConn) {
 }
 
 // receiveDatagram routes one received datagram (whose bytes are wb.b) to
-// the reliability layer or straight to frame delivery, taking ownership
-// of wb.
+// the reliability layer or to the liveness detector, taking ownership of
+// wb. Payload reaches the inbox only through the reliability layer: a
+// bare frameSingle or frameBatch would bypass the incarnation gate,
+// duplicate suppression and ordering, so it is counted as a decode error
+// and dropped like any other unknown frame.
 func (d *Domain) receiveDatagram(ep *Endpoint, wb *wireBuf) {
-	if len(wb.b) >= 1 && wb.b[0] == frameSeq && d.rel != nil {
+	if len(wb.b) >= 1 && wb.b[0] == frameSeq {
 		d.rel.receive(ep, wb)
 		return
 	}
@@ -270,7 +272,7 @@ func (d *Domain) receiveDatagram(ep *Endpoint, wb *wireBuf) {
 		// its current incarnation — a dead process's heartbeats lingering
 		// in a socket buffer must not keep its ghost alive (checkInc
 		// counts and drops them).
-		if d.lv != nil && len(wb.b) >= hbFrameLen {
+		if len(wb.b) >= hbFrameLen {
 			from := int(binary.LittleEndian.Uint16(wb.b[1:3]))
 			inc := binary.LittleEndian.Uint32(wb.b[3:7])
 			if from < d.cfg.Ranks && d.lv.checkInc(ep.rank, from, inc) {
@@ -286,7 +288,7 @@ func (d *Domain) receiveDatagram(ep *Endpoint, wb *wireBuf) {
 		// self-referential frames are dropped — wire input is untrusted —
 		// and so is a bye stamped with a dead incarnation, which would
 		// otherwise bury the peer's restarted successor.
-		if d.lv != nil && len(wb.b) >= byeFrameLen {
+		if len(wb.b) >= byeFrameLen {
 			from := int(binary.LittleEndian.Uint16(wb.b[1:3]))
 			inc := binary.LittleEndian.Uint32(wb.b[3:7])
 			if from < d.cfg.Ranks && from != ep.rank && d.lv.checkInc(ep.rank, from, inc) {
@@ -302,7 +304,7 @@ func (d *Domain) receiveDatagram(ep *Endpoint, wb *wireBuf) {
 		// gated by checkInc — a Down peer's frames are exactly what a
 		// probe authenticates — handleProbe carries its own incarnation
 		// gate and heals or acks as appropriate.
-		if d.lv != nil && len(wb.b) >= probeFrameLen {
+		if len(wb.b) >= probeFrameLen {
 			from := int(binary.LittleEndian.Uint16(wb.b[1:3]))
 			inc := binary.LittleEndian.Uint32(wb.b[3:7])
 			if from < d.cfg.Ranks {
@@ -317,7 +319,7 @@ func (d *Domain) receiveDatagram(ep *Endpoint, wb *wireBuf) {
 		// Multiproc worlds only — in-process ranks cannot restart — and
 		// the address is untrusted wire input: validate length and parse
 		// before it can reach the address table.
-		if d.lv != nil && d.cfg.Multiproc && len(wb.b) >= joinFrameMin {
+		if d.cfg.Multiproc && len(wb.b) >= joinFrameMin {
 			from := int(binary.LittleEndian.Uint16(wb.b[1:3]))
 			inc := binary.LittleEndian.Uint32(wb.b[3:7])
 			alen := int(wb.b[7])
@@ -332,7 +334,8 @@ func (d *Domain) receiveDatagram(ep *Endpoint, wb *wireBuf) {
 		wb.release()
 		return
 	}
-	d.deliverParsed(ep, wb, wb.b)
+	d.decodeErrors.Add(1)
+	wb.release()
 }
 
 // datagramIter walks the wire messages packed in one frameSingle or
@@ -406,9 +409,9 @@ func (it *datagramIter) next() (Msg, bool) {
 // deliverParsed decodes one frameSingle/frameBatch frame (whose bytes live
 // in wb) and pushes its message(s) into ep's inbox, taking ownership of
 // wb. Corrupt frames are counted and dropped — a valid prefix of a batch
-// is still delivered; the datagram is already past the kernel, so partial
-// delivery is indistinguishable from partial loss, which the reliability
-// layer never produces and raw mode never promised against.
+// is still delivered; the frame already passed the sequence check, so its
+// corrupt tail is lost for good — only a forged or bit-flipped frame can
+// carry one.
 func (d *Domain) deliverParsed(ep *Endpoint, wb *wireBuf, frame []byte) {
 	it := parseDatagram(frame)
 	pushed := 0
@@ -435,28 +438,56 @@ func (d *Domain) deliverParsed(ep *Endpoint, wb *wireBuf, frame []byte) {
 }
 
 // sendUDP ships one wire message to the target rank's socket as a
-// frameSingle datagram (sequenced under the reliability layer), staging
-// the encoding in a pooled buffer.
-func (d *Domain) sendUDP(from, to int, m *Msg) {
-	hdr := 0
-	if d.rel != nil {
-		hdr = relHeaderLen
-	}
-	need := hdr + 1 + wireHeaderLen + len(m.Payload)
+// sequenced frameSingle datagram, staging the encoding in a pooled
+// buffer.
+func (ep *Endpoint) sendUDP(to int, m *Msg) {
+	d := ep.dom
+	need := relHeaderLen + 1 + wireHeaderLen + len(m.Payload)
 	if need > maxUDPPayload {
 		panic(fmt.Sprintf("gasnet: AM payload %d bytes exceeds UDP conduit limit %d",
 			len(m.Payload), maxUDPPayload))
 	}
 	wb := d.arena.get(need)
-	wire := append(wb.b[:hdr], frameSingle)
+	wire := append(wb.b[:relHeaderLen], frameSingle)
 	wire = appendMsg(wire, m)
 	wb.b = wire
-	if d.rel != nil {
-		d.rel.send(from, to, wb)
-	} else {
-		d.writeDatagram(from, to, wire)
+	if ep.seal(to, wb) {
+		d.writeDatagram(ep.rank, to, wire)
 	}
 	wb.release()
+}
+
+// seal is the one window wait of the send path: it seals wb into this
+// rank's stream to `to` (rel.trySeal), after which the caller transmits
+// wb.b exactly once, or reports false when the frame is dropped — racing
+// shutdown, or a declared-dead peer whose ops the sweep fails. The caller
+// keeps its wb reference either way. A full window blocks, re-checking
+// the peer's liveness each wakeup so a Down peer never wedges the sender;
+// admission (AdmitSend) normally keeps it from filling, so the block is
+// the backstop, not the policy.
+func (ep *Endpoint) seal(to int, wb *wireBuf) bool {
+	spin := 0
+	for {
+		ok, full := ep.dom.rel.trySeal(ep.rank, to, wb)
+		if ok {
+			return true
+		}
+		if !full {
+			return false
+		}
+		// Frames staged but unwritten may be why no acknowledgments are
+		// coming: ship them so the window can drain. Momentary fullness
+		// resolves within an ack round trip; yield a few times before
+		// escalating to real sleeps, so a blocked sender costs no CPU
+		// while still observing a Down transition within a sleep quantum.
+		ep.flushStaged()
+		if spin < 4 {
+			spin++
+			runtime.Gosched()
+		} else {
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
 }
 
 // writeDatagram counts and ships one logical datagram (a first
@@ -514,8 +545,8 @@ func (d *Domain) writeBatch(from int, frames []batchFrame) {
 // send burst (Endpoint.BeginBurst/EndBurst), packing them into frameBatch
 // datagrams so a fan-in of k tokens costs one syscall instead of k. State
 // is owned by the endpoint's goroutine, like the rest of the send path.
-// Under the reliability layer the whole batch rides inside one sequenced
-// frame and is retransmitted as a unit.
+// The whole batch rides inside one sequenced frame and is retransmitted
+// as a unit.
 type coalescer struct {
 	bufs   []*wireBuf // per destination; nil when no pending batch
 	counts []int      // messages packed per destination
@@ -532,23 +563,13 @@ func newCoalescer(ranks int) *coalescer {
 // pending reports whether any destination has unflushed messages.
 func (c *coalescer) pending() bool { return len(c.dirty) > 0 }
 
-// relHdrLen is the per-datagram framing overhead of the reliability layer
-// for this domain (zero in raw mode).
-func (d *Domain) relHdrLen() int {
-	if d.rel != nil {
-		return relHeaderLen
-	}
-	return 0
-}
-
 // add packs m for destination to, flushing the destination first if the
 // message would overflow the datagram. Oversized single messages panic,
 // matching the non-coalesced path.
 func (ep *Endpoint) coalesce(to int, m *Msg) {
 	c := ep.co
-	hdr := ep.dom.relHdrLen()
 	need := 4 + wireHeaderLen + len(m.Payload)
-	if hdr+batchHeaderLen+need > maxUDPPayload {
+	if relHeaderLen+batchHeaderLen+need > maxUDPPayload {
 		panic(fmt.Sprintf("gasnet: AM payload %d bytes exceeds UDP conduit limit %d",
 			len(m.Payload), maxUDPPayload))
 	}
@@ -562,8 +583,8 @@ func (ep *Endpoint) coalesce(to int, m *Msg) {
 	if wb == nil {
 		wb = ep.dom.arena.get(bufClassLarge)
 		// Reserve the (garbage for now) reliability header; the batch
-		// count is patched at flush, the header at seqSend.
-		wb.b = append(wb.b[:hdr], frameBatch, 0, 0)
+		// count is patched and the header sealed at stageDest.
+		wb.b = append(wb.b[:relHeaderLen], frameBatch, 0, 0)
 		c.bufs[to] = wb
 		c.dirty = append(c.dirty, to)
 	}
@@ -575,13 +596,12 @@ func (ep *Endpoint) coalesce(to int, m *Msg) {
 }
 
 // stageDest seals destination to's pending batch — stamping the batch
-// count, and under the reliability layer the sequence header plus a slot
-// in the retransmit queue — and stages the frame on the endpoint's send
-// queue instead of writing it, so EndBurst ships every destination's
-// frame in one vectorized write. The caller's buffer reference travels
-// with the staged frame and is released by flushStaged after the write;
-// the retransmit queue holds its own reference, exactly as on the
-// immediate-write path.
+// count, the sequence header and a slot in the retransmit queue — and
+// stages the frame on the endpoint's send queue instead of writing it, so
+// EndBurst ships every destination's frame in one vectorized write. The
+// caller's buffer reference travels with the staged frame and is released
+// by flushStaged after the write; the retransmit queue holds its own
+// reference, exactly as on the single-message path.
 func (ep *Endpoint) stageDest(to int) {
 	c := ep.co
 	wb := c.bufs[to]
@@ -589,40 +609,17 @@ func (ep *Endpoint) stageDest(to int) {
 		return
 	}
 	d := ep.dom
-	hdr := d.relHdrLen()
 	count := c.counts[to]
 	c.bufs[to] = nil
 	c.counts[to] = 0
-	binary.LittleEndian.PutUint16(wb.b[hdr+1:hdr+3], uint16(count))
+	binary.LittleEndian.PutUint16(wb.b[relHeaderLen+1:relHeaderLen+3], uint16(count))
 	if count > 1 {
 		d.coalescedBatches.Add(1)
 		d.coalescedMsgs.Add(int64(count))
 	}
-	if d.rel != nil {
-		spin := 0
-		for {
-			ok, full := d.rel.trySeal(ep.rank, to, wb)
-			if ok {
-				break
-			}
-			if !full {
-				// Shutdown or down peer: the frame is dropped, exactly as
-				// rel.send would drop it.
-				wb.release()
-				return
-			}
-			// The congestion window is full — and the frames already
-			// staged but unwritten may be why no acknowledgments are
-			// coming. Ship them so the window can drain, then wait like
-			// rel.send's backstop.
-			ep.flushStaged()
-			if spin < 4 {
-				spin++
-				runtime.Gosched()
-			} else {
-				time.Sleep(50 * time.Microsecond)
-			}
-		}
+	if !ep.seal(to, wb) {
+		wb.release()
+		return
 	}
 	ep.sendq = append(ep.sendq, batchFrame{b: wb.b, addr: d.udp.addrOf(to), wb: wb})
 }
@@ -714,7 +711,7 @@ func (tr *udpTransport) close() {
 }
 
 // sendBye announces this process's graceful departure to every peer it
-// still considers alive — best-effort raw departure frames (unsequenced:
+// still considers alive — best-effort departure frames (unsequenced:
 // the reliability state is about to be torn down, and a lost bye only
 // means the peer falls back to the DownAfter silence timer). Multiproc
 // worlds only; in-process worlds tear every rank down together.
@@ -728,7 +725,7 @@ func (d *Domain) sendBye() {
 	binary.LittleEndian.PutUint16(frame[1:3], uint16(self))
 	binary.LittleEndian.PutUint32(frame[3:7], d.inc)
 	for to := 0; to < d.cfg.Ranks; to++ {
-		if to == self || (d.lv != nil && d.lv.down(self, to)) {
+		if to == self || d.lv.down(self, to) {
 			continue
 		}
 		d.writeFrame(self, to, frame[:])

@@ -1,21 +1,22 @@
 package gupcxx_test
 
-// BENCH_7: the cost of leaving the address space. The same op-pipeline
-// families measured two ways on one machine:
+// The cost of leaving the address space: the same op-pipeline families
+// measured two ways on one machine:
 //
 //   - BenchmarkOpPipelineUDP — an in-process UDP world. The ranks are
 //     co-located, so the dynamic locality check resolves every access to
 //     the in-memory path; the wire below is bound but idle. The eager
 //     rows must stay at 0 allocs/op — the multiproc refactor may not tax
-//     the single-process fast path.
+//     the single-process fast path — which the UDP row of
+//     TestOpPipelineValueAllocationFree pins.
 //   - BenchmarkOpPipelineMultiproc — a 2-process loopback world. The
 //     bench process IS rank 0; rank 1 is a spawned child of this test
 //     binary serving progress. Every op is a real UDP round trip through
 //     the reliability layer: this is the floor a paper experiment pays
 //     per remote op before wire latency is added.
 //
-// scripts/check_bench7.sh gates the record (make bench-multiproc
-// regenerates BENCH_7.json).
+// Both are developer tools (go test -bench); the benchmark of record for
+// the cross-process path is perfbench's xproc-* workloads.
 
 import (
 	"io"
@@ -28,7 +29,7 @@ import (
 	"gupcxx/internal/boot"
 )
 
-// pipeFamily is one measured op family, shared by both BENCH_7 harnesses.
+// pipeFamily is one measured op family, shared by both harnesses.
 type pipeFamily struct {
 	name string
 	run  func(b *testing.B, r *gupcxx.Rank, t gupcxx.GlobalPtr[uint64])

@@ -3,7 +3,7 @@ package gupcxx_test
 // Unified-pipeline guards: allocation bounds for the eager fast path
 // (including the value-carrying operations, whose per-call cell the
 // pipeline's inline value futures remove) and the op-level latency/alloc
-// benchmarks recorded as BENCH_3.json (make bench-pipeline).
+// benchmarks (go test -bench BenchmarkOpPipeline).
 
 import (
 	"runtime"
@@ -18,46 +18,55 @@ import (
 // under the inline-value version knob an eagerly-completed Rget or
 // fetching atomic returns its value inside the future struct itself, so
 // the §III-B per-call cell allocation is gone. The value-less forms were
-// already allocation-free and must stay so.
+// already allocation-free and must stay so. The UDP row is an in-process
+// world with the whole wire substrate armed (sockets, reliability ticker,
+// liveness) under the in-memory path: co-located ranks must not pay for
+// it.
 func TestOpPipelineValueAllocationFree(t *testing.T) {
-	w, err := gupcxx.NewWorld(gupcxx.Config{
-		Ranks: 2, Conduit: gupcxx.PSHM, Version: gupcxx.Eager2021_3_6, SegmentBytes: 1 << 14,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	err = w.Run(func(r *gupcxx.Rank) {
-		tgt := gupcxx.New[uint64](r)
-		tgts := gupcxx.ExchangePtr(r, tgt)
-		r.Barrier()
-		if r.Me() == 0 {
-			ad := gupcxx.NewAtomicDomain[uint64](r)
-			var sink uint64
-			// The destination buffer lives outside the measured closure:
-			// the remote branch of RgetBulk retains it until the reply, so
-			// a per-iteration buffer would be charged one escape per run.
-			var buf [1]uint64
-			cases := []struct {
-				name string
-				op   func()
-			}{
-				{"rget", func() { sink += gupcxx.Rget(r, tgts[1]).Wait() }},
-				{"fetchadd", func() { sink += ad.FetchAdd(tgts[1], 1).Wait() }},
-				{"load", func() { sink += ad.Load(tgts[1]).Wait() }},
-				{"rgetbulk", func() { gupcxx.RgetBulk(r, tgts[1], buf[:]).Wait() }},
+	for _, conduit := range []gupcxx.Conduit{gupcxx.PSHM, gupcxx.UDP} {
+		t.Run(conduit.String(), func(t *testing.T) {
+			w, err := gupcxx.NewWorld(gupcxx.Config{
+				Ranks: 2, Conduit: conduit, Version: gupcxx.Eager2021_3_6, SegmentBytes: 1 << 14,
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, c := range cases {
-				if avg := testing.AllocsPerRun(1000, c.op); avg != 0 {
-					t.Errorf("eager on-node %s allocates %.2f objects/op, want 0", c.name, avg)
+			defer w.Close()
+			err = w.Run(func(r *gupcxx.Rank) {
+				tgt := gupcxx.New[uint64](r)
+				tgts := gupcxx.ExchangePtr(r, tgt)
+				r.Barrier()
+				if r.Me() == 0 {
+					ad := gupcxx.NewAtomicDomain[uint64](r)
+					var sink uint64
+					// The destination buffer lives outside the measured
+					// closure: the remote branch of RgetBulk retains it
+					// until the reply, so a per-iteration buffer would be
+					// charged one escape per run.
+					var buf [1]uint64
+					cases := []struct {
+						name string
+						op   func()
+					}{
+						{"put", func() { gupcxx.Rput(r, 1, tgts[1]).Wait() }},
+						{"rget", func() { sink += gupcxx.Rget(r, tgts[1]).Wait() }},
+						{"fetchadd", func() { sink += ad.FetchAdd(tgts[1], 1).Wait() }},
+						{"load", func() { sink += ad.Load(tgts[1]).Wait() }},
+						{"rgetbulk", func() { gupcxx.RgetBulk(r, tgts[1], buf[:]).Wait() }},
+					}
+					for _, c := range cases {
+						if avg := testing.AllocsPerRun(1000, c.op); avg != 0 {
+							t.Errorf("eager on-node %s allocates %.2f objects/op, want 0", c.name, avg)
+						}
+					}
+					benchSinkU64 = sink
 				}
+				r.Barrier()
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			benchSinkU64 = sink
-		}
-		r.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
+		})
 	}
 }
 
@@ -130,12 +139,14 @@ func TestOpPipelineObservedAllocationFree(t *testing.T) {
 			if r.Me() == 0 {
 				ad := gupcxx.NewAtomicDomain[uint64](r)
 				var sink uint64
+				var buf [1]uint64 // outside the closure, as in the table above
 				cases := []struct {
 					name string
 					op   func()
 				}{
 					{"put", func() { gupcxx.Rput(r, 1, tgts[1]).Wait() }},
 					{"get", func() { sink += gupcxx.Rget(r, tgts[1]).Wait() }},
+					{"getbulk", func() { gupcxx.RgetBulk(r, tgts[1], buf[:]).Wait() }},
 					{"fetchadd", func() { sink += ad.FetchAdd(tgts[1], 1).Wait() }},
 				}
 				for _, c := range cases {
@@ -159,7 +170,7 @@ func TestOpPipelineObservedAllocationFree(t *testing.T) {
 // TestOpPipelineObservedAsyncContinuation extends the guard to the
 // asynchronous continuation leg: off-node-style continuation ops under an
 // active operations plane must stay allocation-free in steady state, just
-// as they are unobserved (scripts/check_bench5.sh's contract).
+// as they are unobserved (TestContinuationAllocationFree's contract).
 func TestOpPipelineObservedAsyncContinuation(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -201,9 +212,8 @@ func TestOpPipelineObservedAsyncContinuation(t *testing.T) {
 
 // BenchmarkOpPipeline measures per-op latency and allocations through the
 // unified pipeline for the paper's microbenchmark families, per library
-// version. Recorded as BENCH_3.json; the eager value-less rows must stay
-// at 0 allocs/op (scripts/check_bench3.sh enforces this when the record
-// is regenerated).
+// version. The eager rows' 0 allocs/op is pinned live by
+// TestOpPipelineValueAllocationFree.
 func BenchmarkOpPipeline(b *testing.B) {
 	type bench struct {
 		name string
@@ -400,9 +410,8 @@ func progressUntil(r *gupcxx.Rank, done func() bool) {
 // pipeline per completion form: the future forms pay the one irreducible
 // cell escape per op, the continuation forms run cell-free — 0 allocs/op
 // for put and getbulk, and the pooled wire-RPC call record holds the
-// rpcwire continuation row at <= 2 (args copy + reply view). Recorded as
-// BENCH_5.json; scripts/check_bench5.sh fails a regenerated record whose
-// continuation rows regress (make bench-syscall).
+// rpcwire continuation row at <= 2 (args copy + reply view). Those bounds
+// are pinned live by TestContinuationAllocationFree.
 func BenchmarkOpPipelineAsync(b *testing.B) {
 	type bench struct {
 		name string

@@ -108,13 +108,12 @@ func (c *wireCall) deliver(err error) {
 func (c *wireCall) injectCont(_ func(ctx any), done func(error)) {
 	r := c.r
 	target := int(c.peer)
-	if r.ep.PeerDown(target) {
+	gen, down := r.ep.PeerGen(target)
+	if down {
 		done(ErrPeerUnreachable)
 		return
 	}
-	c.done = done
-	c.sent = true
-	c.gen = r.ep.DownGen(target)
+	c.done, c.sent, c.gen = done, true, gen
 	cookie := r.wire.add(c)
 	r.ep.Send(target, gasnet.Msg{
 		Handler: hRPCWireReq,
@@ -222,13 +221,13 @@ func RPCWire(r *Rank, target int, id RPCHandlerID, args []byte, cxs ...Cx) Futur
 		Peer:     target,
 		Admit:    true,
 		Inject: func(slot *[]byte, done func(error)) {
-			if r.ep.PeerDown(target) {
+			gen, down := r.ep.PeerGen(target)
+			if down {
 				done(ErrPeerUnreachable)
 				return
 			}
 			c := r.wire.get()
-			c.vp, c.done, c.peer = slot, done, int32(target)
-			c.gen = r.ep.DownGen(target)
+			c.vp, c.done, c.peer, c.gen = slot, done, int32(target), gen
 			cookie := r.wire.add(c)
 			r.ep.Send(target, gasnet.Msg{
 				Handler: hRPCWireReq,

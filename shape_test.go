@@ -15,34 +15,54 @@ import (
 	"gupcxx/internal/stats"
 )
 
-// timePerOp measures the best-of-5 mean time per operation of fn(iter
-// count) on rank 0 of a two-rank world.
-func timePerOp(t *testing.T, cfg gupcxx.Config, iters int, fn func(r *gupcxx.Rank, tgt gupcxx.GlobalPtr[uint64], n int)) time.Duration {
+// onRank0 runs fn on rank 0 of a two-rank world, against a word in rank
+// 1's segment.
+func onRank0(t *testing.T, cfg gupcxx.Config, fn func(r *gupcxx.Rank, tgt gupcxx.GlobalPtr[uint64])) {
 	t.Helper()
 	w, err := gupcxx.NewWorld(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	var samples []time.Duration
 	err = w.Run(func(r *gupcxx.Rank) {
 		tgt := gupcxx.New[uint64](r)
 		tgts := gupcxx.ExchangePtr(r, tgt)
 		r.Barrier()
 		if r.Me() == 0 {
-			fn(r, tgts[1], iters/5+1) // warmup
-			for s := 0; s < 5; s++ {
-				start := time.Now()
-				fn(r, tgts[1], iters)
-				samples = append(samples, time.Since(start))
-			}
+			fn(r, tgts[1])
 		}
 		r.Barrier()
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// timePerOp measures the best-of-5 mean time per operation of fn(iter
+// count) on rank 0 of a two-rank world.
+func timePerOp(t *testing.T, cfg gupcxx.Config, iters int, fn func(r *gupcxx.Rank, tgt gupcxx.GlobalPtr[uint64], n int)) time.Duration {
+	t.Helper()
+	var samples []time.Duration
+	onRank0(t, cfg, func(r *gupcxx.Rank, tgt gupcxx.GlobalPtr[uint64]) {
+		fn(r, tgt, iters/5+1) // warmup
+		for s := 0; s < 5; s++ {
+			start := time.Now()
+			fn(r, tgt, iters)
+			samples = append(samples, time.Since(start))
+		}
+	})
 	return stats.Summarize(samples, 3).TopKMean / time.Duration(iters)
+}
+
+// putAllocs counts the heap allocations of one blocking put on rank 0 of
+// a two-rank world.
+func putAllocs(t *testing.T, cfg gupcxx.Config) float64 {
+	t.Helper()
+	var avg float64
+	onRank0(t, cfg, func(r *gupcxx.Rank, tgt gupcxx.GlobalPtr[uint64]) {
+		avg = testing.AllocsPerRun(1000, func() { gupcxx.Rput(r, 1, tgt).Wait() })
+	})
+	return avg
 }
 
 // minSpeedup is the eager-vs-defer ratio the wall-clock shape tests
@@ -83,23 +103,29 @@ func TestShapeOnNodeEagerWins(t *testing.T) {
 	}
 }
 
-// TestShapeLegacyExtraAllocCosts: 2021.3.0 must be slower than
-// 2021.3.6-defer on local RMA (the allocation-elimination optimization).
+// TestShapeLegacyExtraAllocCosts: the allocation-elimination
+// optimization, counted with the allocator — an on-node put under
+// 2021.3.0 allocates exactly one more object than under 2021.3.6-defer
+// (2 vs 1). What that object costs in wall clock is logged, not asserted:
+// the gap is a few tens of nanoseconds, which race-detector scheduling
+// noise flips.
 func TestShapeLegacyExtraAllocCosts(t *testing.T) {
-	if testing.Short() {
-		t.Skip("shape test")
-	}
-	const iters = 100_000
 	base := gupcxx.Config{Ranks: 2, Conduit: gupcxx.PSHM, SegmentBytes: 1 << 14}
 	legacy, deferred := base, base
 	legacy.Version = gupcxx.Legacy2021_3_0
 	deferred.Version = gupcxx.Defer2021_3_6
+	al, ad := putAllocs(t, legacy), putAllocs(t, deferred)
+	t.Logf("on-node put: legacy %.0f allocs/op, defer %.0f allocs/op", al, ad)
+	if al != ad+1 {
+		t.Errorf("legacy put allocates %.2f objects/op, want exactly one more than 2021.3.6-defer's %.2f", al, ad)
+	}
+	if testing.Short() {
+		return
+	}
+	const iters = 100_000
 	tl := timePerOp(t, legacy, iters, putLoop)
 	td := timePerOp(t, deferred, iters, putLoop)
 	t.Logf("on-node put: legacy %v/op, defer %v/op", tl, td)
-	if tl <= td {
-		t.Errorf("legacy (%v) should be slower than 2021.3.6-defer (%v)", tl, td)
-	}
 }
 
 // TestShapeOffNodeParity: off-node, eager and defer must be within 2× of

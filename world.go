@@ -432,8 +432,8 @@ func NewWorld(cfg Config) (*World, error) {
 		// The death generation scopes the sweep to calls issued against the
 		// incarnation that just died — calls already retargeting a
 		// readmitted successor survive.
-		ep.SetPeerDownHook(func(peer int, err error) {
-			r.wire.failPeer(peer, ep.DownGen(peer), err)
+		ep.SetPeerDownHook(func(peer int, gen uint32, err error) {
+			r.wire.failPeer(peer, gen, err)
 		})
 		// Credit-based admission: remote descriptors that set Admit are
 		// checked against the target's send window before injecting, so a
